@@ -7,13 +7,15 @@ Usage:
         [--normalize-by median | --normalize-by BM_Gemm/256 | --no-normalize]
 
 The default gated set covers the step-pipeline hot kernels: the
-eigensolvers, the bond-table build, the density-matrix rank-k update, the
-blocked-sparse SpMMs (full-pattern BM_BsrSpMM/216, the symmetric-half
-warm-pattern production kernel BM_BsrSpMMSym/216 and its fp32 twin
-BM_BsrSpMMSym_f32/216 -- the mixed-precision loose-phase kernel) and the
-full O(N) purification step (BM_TbOnStep/216).  (BM_BandForces/216 is
-recorded but not gated: a ~40 us kernel has a process-level noise floor
-wider than any regression worth gating on.)
+eigensolvers and the blocked tridiagonal reduction inside them
+(BM_BlockedTridiag/256, which guards the deterministic symv_lower
+partial sums), the bond-table build, the density-matrix rank-k update,
+the symmetric-half warm-pattern SpMM the purification loop runs
+(BM_BsrSpMMSym/216) and its fp32 twin BM_BsrSpMMSym_f32/216 -- the
+mixed-precision loose-phase kernel -- and the full O(N) purification step
+(BM_TbOnStep/216).  (BM_BandForces/216 is recorded but not gated: a
+~40 us kernel has a process-level noise floor wider than any regression
+worth gating on.)
 
 RESULT_JSON is google-benchmark ``--benchmark_out`` output from the current
 build; the baseline is the repo's recorded BENCH_baseline.json (serial_ms
@@ -27,8 +29,8 @@ both files: a uniform machine-speed difference between the baseline host
 and the CI runner shifts all ratios equally and cancels exactly, while a
 genuine regression in one kernel barely moves the median of many.  The
 smoke set therefore includes kernels with no shared code (neighbor list,
-Tersoff, sparse multiply) so that even a regression correlated across all
-of the gated linalg kernels cannot drag the median with it.  This is
+Tersoff, Hamiltonian assembly) so that even a regression correlated across
+all of the gated linalg kernels cannot drag the median with it.  This is
 far more robust than designating one calibration kernel (a single kernel
 -- e.g. a cache-boundary-sized GEMM -- can be bimodal across processes on
 shared hosts, poisoning every normalized ratio).  Passing a kernel name
@@ -85,8 +87,9 @@ def main():
     ap.add_argument("--kernel", action="append", default=[],
                     help="kernel(s) to gate, optionally NAME=FRAC to give "
                          "one kernel a tighter limit than --max-regression; "
-                         "default: eigensolvers, bond table, density matrix, "
-                         "blocked SpMM and the full O(N) step "
+                         "default: eigensolvers, blocked tridiagonal "
+                         "reduction, bond table, density matrix, "
+                         "symmetric-half SpMM and the full O(N) step "
                          "(BM_BandForces is recorded but ungated: too noisy "
                          "at ~40 us)")
     ap.add_argument("--max-regression", type=float, default=0.25,
@@ -106,8 +109,9 @@ def main():
     # non-native CI build shifts its normalized ratio more than the fp64
     # kernels'.
     specs = args.kernel or ["BM_Eigh/256", "BM_EighPartial/256",
+                            "BM_BlockedTridiag/256",
                             "BM_BondTable/216", "BM_DensityMatrix/256",
-                            "BM_BsrSpMM/216", "BM_BsrSpMMSym/216=0.05",
+                            "BM_BsrSpMMSym/216=0.05",
                             "BM_BsrSpMMSym_f32/216", "BM_TbOnStep/216"]
     kernels = []
     for spec in specs:  # NAME or NAME=FRAC (per-kernel limit override)

@@ -20,6 +20,7 @@
 #include "src/potentials/lennard_jones.hpp"
 #include "src/potentials/tersoff.hpp"
 #include "src/structures/builders.hpp"
+#include "src/tb/bond_table.hpp"
 #include "src/tb/hamiltonian.hpp"
 #include "src/util/random.hpp"
 #include "src/util/timer.hpp"
@@ -170,7 +171,9 @@ int main() {
       NeighborList list;
       const tb::TbModel m = tb::model_by_name("c");
       list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
-      const auto h = onx::build_sparse_hamiltonian(m, s, list);
+      tb::BondTable bonds;
+      bonds.build(m, s, list, tb::BondTable::Mode::kBlocks);
+      const auto h = onx::build_block_hamiltonian(m, s, bonds);
       const int nocc = s.total_valence_electrons() / 2;
       onx::PurificationOptions opt;
       opt.drop_tolerance = 1e-7;

@@ -15,7 +15,7 @@
 #include "src/io/table.hpp"
 #include "src/linalg/eigen_sym.hpp"
 #include "src/neighbor/neighbor_list.hpp"
-#include "src/onx/on_calculator.hpp"
+#include "src/onx/block_sparse.hpp"
 #include "src/onx/purification.hpp"
 #include "src/structures/builders.hpp"
 #include "src/tb/hamiltonian.hpp"
@@ -36,7 +36,8 @@ int main() {
     NeighborList list;
     list.build(s.positions(), s.cell(), {model.cutoff(), 0.3});
     const linalg::Matrix hd = tb::build_hamiltonian(model, s, list);
-    const onx::SparseMatrix hs = onx::SparseMatrix::from_dense(hd);
+    const onx::BlockSparseMatrix hs =
+        onx::BlockSparseMatrix::from_dense(hd, 4).to_symmetric_half();
     const int nocc = s.total_valence_electrons() / 2;
 
     WallTimer diag_timer;

@@ -19,23 +19,62 @@ constexpr std::size_t kParallelCutoff = 128;
 /// is used for both its (i,j) and (j,i) role), so the kernel runs at memory
 /// bandwidth.  `v` and `y` are full-length buffers; entries outside [lo, n)
 /// are ignored / left untouched.
-void symv_lower(const Matrix& a, std::size_t lo, const double* v, double* y) {
+///
+/// Parallel sweep: one static row range per thread, range t of T being
+/// [lo + len * sqrt(t / T), lo + len * sqrt((t + 1) / T)) -- row i costs
+/// i - lo + 1 updates, so the ranges split the triangle into equal areas --
+/// each scattering into its own slice of `partials`; after the region the
+/// slices are summed in range order.  Every y[k] is therefore the same sum
+/// in the same order on every run at a fixed thread count (an OpenMP array
+/// reduction would combine the per-thread copies in whatever order the
+/// threads finish).  Summing after the region keeps the sweep at one
+/// barrier per call, which matters when a busy host deschedules threads.
+void symv_lower(const Matrix& a, std::size_t lo, const double* v, double* y,
+                std::vector<double>& partials) {
   const std::size_t n = a.rows();
-  for (std::size_t i = lo; i < n; ++i) y[i] = 0.0;
   const std::size_t len = n - lo;
-  [[maybe_unused]] const bool par =
-      len >= kParallelCutoff && par::max_threads() > 1;
-#pragma omp parallel for schedule(dynamic, 32) reduction(+ : y[lo : len]) \
-    if (par)
-  for (std::size_t i = lo; i < n; ++i) {
-    const double* row = a.row(i);
-    const double vi = v[i];
-    double s = row[i] * vi;
-    for (std::size_t k = lo; k < i; ++k) {
-      s += row[k] * v[k];
-      y[k] += row[k] * vi;
+  // Rows [begin, end) of the product, accumulated into acc[k - lo].
+  const auto sweep = [&](std::size_t begin, std::size_t end, double* acc) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const double* row = a.row(i);
+      const double vi = v[i];
+      double s = row[i] * vi;
+      for (std::size_t k = lo; k < i; ++k) {
+        s += row[k] * v[k];
+        acc[k - lo] += row[k] * vi;
+      }
+      acc[i - lo] += s;
     }
-    y[i] += s;
+  };
+  const int threads = len >= kParallelCutoff ? par::max_threads() : 1;
+  if (threads == 1) {
+    std::fill(y + lo, y + n, 0.0);
+    sweep(lo, n, y + lo);
+    return;
+  }
+  const auto nt = static_cast<std::size_t>(threads);
+  // First row of range t; bound(nt) == n exactly (sqrt(1.0) == 1.0).
+  const auto bound = [&](std::size_t t) {
+    return lo + static_cast<std::size_t>(
+                    static_cast<double>(len) *
+                    std::sqrt(static_cast<double>(t) /
+                              static_cast<double>(nt)));
+  };
+  if (partials.size() < nt * len) partials.resize(nt * len);
+  // Range t only writes rows below bound(t + 1), so only that prefix of
+  // its slice is zeroed and summed.  The loop form stays correct if the
+  // runtime grants fewer threads than requested (e.g. a nested call).
+#pragma omp parallel for schedule(static, 1) num_threads(threads)
+  for (std::size_t t = 0; t < nt; ++t) {
+    double* part = partials.data() + t * len;
+    std::fill(part, part + (bound(t + 1) - lo), 0.0);
+    sweep(bound(t), bound(t + 1), part);
+  }
+  std::fill(y + lo, y + n, 0.0);
+  for (std::size_t t = 0; t < nt; ++t) {
+    const double* part = partials.data() + t * len;
+    const std::size_t end = bound(t + 1) - lo;
+    for (std::size_t k = 0; k < end; ++k) y[lo + k] += part[k];
   }
 }
 
@@ -65,6 +104,7 @@ TridiagFactorization blocked_tridiagonalize(const Matrix& a,
   Matrix w(n, nb, 0.0);             // accumulated couplings W for the panel
   std::vector<double> v(n, 0.0);    // contiguous copy of the current reflector
   std::vector<double> y(n, 0.0);    // symv result / scratch
+  std::vector<double> symv_partials;  // per-thread symv slices
   std::vector<double> vrow(nb), wrow(nb), tmp1(nb), tmp2(nb);
 
   for (std::size_t p = 0; p < nrefl; p += nb) {
@@ -116,7 +156,7 @@ TridiagFactorization blocked_tridiagonalize(const Matrix& a,
       // trailing matrix with the panel's pending updates folded in through
       // the V/W correction terms (stored entries are pre-update).
       for (std::size_t i = j + 1; i < n; ++i) v[i] = r(i, j);
-      symv_lower(r, j + 1, v.data(), y.data());
+      symv_lower(r, j + 1, v.data(), y.data(), symv_partials);
       if (jj > 0) {
         for (std::size_t c = 0; c < jj; ++c) {
           double s1 = 0.0, s2 = 0.0;

@@ -9,8 +9,6 @@
 
 namespace tbmd::onx {
 
-std::size_t natural_block_size(std::size_t n) { return n % 4 == 0 ? 4 : 1; }
-
 PurificationResult palser_manolopoulos(const BlockSparseMatrix& h,
                                        int n_occupied,
                                        const PurificationOptions& options,
@@ -196,20 +194,6 @@ PurificationResult palser_manolopoulos(const BlockSparseMatrix& h,
   ws.p = BlockSparseMatrix::zeros_like(hh);
   if (inject_stall) out.converged = false;
   return out;
-}
-
-PurificationResult palser_manolopoulos(const SparseMatrix& h, int n_occupied,
-                                       const PurificationOptions& options) {
-  return palser_manolopoulos(
-      h.to_block(natural_block_size(h.size())).to_symmetric_half(),
-      n_occupied, options);
-}
-
-PurificationResult palser_manolopoulos(
-    const SparseMatrix& h, const std::vector<std::uint32_t>& block_dims,
-    int n_occupied, const PurificationOptions& options) {
-  return palser_manolopoulos(h.to_block(block_dims).to_symmetric_half(),
-                             n_occupied, options);
 }
 
 PurificationResult purify_grand_canonical(const BlockSparseMatrix& h,

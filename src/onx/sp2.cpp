@@ -100,18 +100,4 @@ PurificationResult sp2_purification(const BlockSparseMatrix& h,
   return out;
 }
 
-PurificationResult sp2_purification(const SparseMatrix& h, int n_occupied,
-                                    const PurificationOptions& options) {
-  return sp2_purification(
-      h.to_block(natural_block_size(h.size())).to_symmetric_half(),
-      n_occupied, options);
-}
-
-PurificationResult sp2_purification(
-    const SparseMatrix& h, const std::vector<std::uint32_t>& block_dims,
-    int n_occupied, const PurificationOptions& options) {
-  return sp2_purification(h.to_block(block_dims).to_symmetric_half(),
-                          n_occupied, options);
-}
-
 }  // namespace tbmd::onx

@@ -25,16 +25,4 @@ namespace tbmd::onx {
     const PurificationOptions& options = {},
     PurificationWorkspace* workspace = nullptr);
 
-/// Scalar-CSR convenience overload (converts via SparseMatrix::to_block
-/// with the natural_block_size() fallback layout).
-[[nodiscard]] PurificationResult sp2_purification(
-    const SparseMatrix& h, int n_occupied,
-    const PurificationOptions& options = {});
-
-/// Scalar-CSR overload with an explicit per-atom block layout (for a
-/// tight-binding Hamiltonian: tb::orbital_block_dims(model, system)).
-[[nodiscard]] PurificationResult sp2_purification(
-    const SparseMatrix& h, const std::vector<std::uint32_t>& block_dims,
-    int n_occupied, const PurificationOptions& options = {});
-
 }  // namespace tbmd::onx

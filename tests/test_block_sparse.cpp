@@ -1,8 +1,8 @@
-// Tests for the blocked-sparse (BSR) substrate of the O(N) engine:
-// CSR <-> BSR round trips, blocked SpMM against the dense GEMM reference,
-// tile-threshold truncation symmetry, the symmetric-half storage mode
-// (round trips, half SpMM, frozen-pattern reuse, workspace shrink), and
-// SP2 purification running directly on BSR operands.
+// Tests for the blocked-sparse (BSR) substrate of the O(N) engine: dense
+// round trips, algebra against the dense reference, tile-threshold
+// truncation symmetry, the symmetric-half storage mode (round trips, half
+// SpMM, frozen-pattern reuse, workspace shrink), and SP2 purification
+// running directly on BSR operands.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "src/onx/block_sparse.hpp"
 #include "src/onx/on_calculator.hpp"
 #include "src/onx/sp2.hpp"
-#include "src/onx/sparse.hpp"
 #include "src/structures/builders.hpp"
 #include "src/tb/hamiltonian.hpp"
 #include "src/tb/occupations.hpp"
@@ -66,6 +65,17 @@ linalg::Matrix random_symmetric(std::size_t n, std::uint64_t seed,
   return m;
 }
 
+/// Symmetric-half product a * b through the engine's SpMM (a and b must
+/// commute).
+BlockSparseMatrix sym_product(const BlockSparseMatrix& a,
+                              const BlockSparseMatrix& b,
+                              double drop_tolerance = 0.0) {
+  BlockSparseMatrix out;
+  BsrWorkspace ws;
+  a.multiply_sym_into(b, drop_tolerance, out, ws);
+  return out;
+}
+
 // --- conversions ---------------------------------------------------------
 
 TEST(BlockSparse, DenseRoundTrip) {
@@ -76,30 +86,9 @@ TEST(BlockSparse, DenseRoundTrip) {
   EXPECT_LT(linalg::max_abs(b.to_dense() - a), 1e-15);
 }
 
-TEST(BlockSparse, CsrRoundTripOnRandomPatterns) {
-  // to_block / from_block must be an identity for any scalar pattern and
-  // any admissible block size, including tiles only partially covered by
-  // the scalar pattern.
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    for (const std::size_t bs : {1u, 2u, 4u}) {
-      const linalg::Matrix a = random_symmetric(20, seed);
-      const SparseMatrix s = SparseMatrix::from_dense(a);
-      const BlockSparseMatrix b = s.to_block(bs);
-      EXPECT_EQ(b.size(), 20u);
-      EXPECT_LT(linalg::max_abs(b.to_dense() - a), 1e-15)
-          << "bs = " << bs << " seed " << seed;
-      const SparseMatrix back = SparseMatrix::from_block(b);
-      // Exact zeros padding partially-filled tiles must not come back as
-      // explicit CSR entries, so the round trip preserves nnz exactly.
-      EXPECT_EQ(back.nnz(), s.nnz()) << "bs = " << bs << " seed " << seed;
-      EXPECT_LT(linalg::max_abs(back.to_dense() - a), 1e-15);
-    }
-  }
-}
-
-TEST(BlockSparse, ToBlockRejectsIndivisibleDimension) {
-  const SparseMatrix s = SparseMatrix::identity(10);
-  EXPECT_THROW((void)s.to_block(4), Error);
+TEST(BlockSparse, FromDenseRejectsIndivisibleDimension) {
+  const linalg::Matrix eye = linalg::Matrix::identity(10);
+  EXPECT_THROW((void)BlockSparseMatrix::from_dense(eye, 4), Error);
 }
 
 TEST(BlockSparse, IdentityAndTrace) {
@@ -112,19 +101,6 @@ TEST(BlockSparse, IdentityAndTrace) {
 }
 
 // --- algebra vs dense reference ------------------------------------------
-
-TEST(BlockSparse, SpMMMatchesDenseGemm) {
-  for (const std::size_t n : {4u, 16u, 48u, 92u}) {
-    const linalg::Matrix a = random_symmetric(n, 100 + n);
-    const linalg::Matrix b = random_symmetric(n, 200 + n);
-    const std::size_t bs = n % 4 == 0 ? 4 : 2;
-    const BlockSparseMatrix sa = BlockSparseMatrix::from_dense(a, bs);
-    const BlockSparseMatrix sb = BlockSparseMatrix::from_dense(b, bs);
-    const BlockSparseMatrix sc = sa.multiply(sb);
-    EXPECT_LT(linalg::max_abs(sc.to_dense() - linalg::matmul(a, b)), 1e-12)
-        << "n = " << n;
-  }
-}
 
 TEST(BlockSparse, CombineMatchesDense) {
   const linalg::Matrix a = random_block_symmetric(32, 4, 5);
@@ -198,12 +174,15 @@ TEST(BlockSparse, TileTruncationDropsWholeTilesSymmetrically) {
   EXPECT_EQ(b.find_block(0, 2), nullptr);
   EXPECT_EQ(b.block_count(), 5u);
 
-  // The same symmetry must hold through combine() and multiply() of
-  // symmetric operands: pattern and values stay exactly symmetric.
+  // The same symmetry must hold through the truncated product and a
+  // full-storage combine() of symmetric operands: pattern and values stay
+  // exactly symmetric.
   const linalg::Matrix s = random_block_symmetric(24, 4, 31, 0.4);
   const BlockSparseMatrix sb = BlockSparseMatrix::from_dense(s, 4);
   for (const double drop : {0.0, 1e-3, 3e-2}) {
-    const BlockSparseMatrix prod = sb.multiply(sb, drop);
+    const BlockSparseMatrix prod =
+        sym_product(sb.to_symmetric_half(), sb.to_symmetric_half(), drop)
+            .to_full();
     const linalg::Matrix d = prod.to_dense();
     for (std::size_t i = 0; i < d.rows(); ++i) {
       for (std::size_t j = 0; j < i; ++j) {
@@ -225,21 +204,6 @@ TEST(BlockSparse, DiagonalTilesSurviveTruncation) {
   for (std::size_t i = 0; i < 8; ++i) a(i, i) = 1e-9;  // tiny but nonzero
   const BlockSparseMatrix b = BlockSparseMatrix::from_dense(a, 4, 1e-3);
   EXPECT_NEAR(b.trace(), 8e-9, 1e-20);  // trace exact despite truncation
-}
-
-TEST(BlockSparse, MultiplyIntoReusesWorkspace) {
-  const linalg::Matrix a = random_block_symmetric(32, 4, 17, 0.5);
-  const BlockSparseMatrix sa = BlockSparseMatrix::from_dense(a, 4);
-  BlockSparseMatrix out;
-  BsrWorkspace ws;
-  sa.multiply_into(sa, 0.0, out, ws);
-  const linalg::Matrix ref = linalg::matmul(a, a);
-  EXPECT_LT(linalg::max_abs(out.to_dense() - ref), 1e-12);
-  // Second call into the same buffers must give the same result.
-  sa.multiply_into(sa, 0.0, out, ws);
-  EXPECT_LT(linalg::max_abs(out.to_dense() - ref), 1e-12);
-  EXPECT_THROW(sa.multiply_into(sa, 0.0, const_cast<BlockSparseMatrix&>(sa), ws),
-               Error);
 }
 
 // --- symmetric-half storage ----------------------------------------------
@@ -333,10 +297,12 @@ TEST(BlockSparseSym, MultiplySymMatchesDenseGemm) {
       EXPECT_LT(linalg::max_abs(out.to_dense() - linalg::matmul(a2, a)),
                 1e-11)
           << "n " << n << " bs " << bs;
-      // multiply() dispatches half-stored operands to the same kernel.
-      const BlockSparseMatrix prod = ha.multiply(ha);
-      EXPECT_TRUE(prod.symmetric());
-      EXPECT_LT(linalg::max_abs(prod.to_dense() - a2), 1e-12);
+      // Reusing the same output and workspace gives the same result.
+      ha.multiply_sym_into(ha, 0.0, out, ws);
+      EXPECT_LT(linalg::max_abs(out.to_dense() - a2), 1e-12);
+      EXPECT_THROW(ha.multiply_sym_into(
+                       ha, 0.0, const_cast<BlockSparseMatrix&>(ha), ws),
+                   Error);
     }
   }
 }
@@ -365,8 +331,9 @@ TEST(BlockSparseSym, AlgebraMatchesDenseInHalfStorage) {
   // Mixed-mode algebra is rejected rather than silently wrong.
   EXPECT_THROW((void)ha.combine(1.0, fb, 1.0), Error);
   EXPECT_THROW((void)ha.trace_of_product(fb), Error);
-  EXPECT_THROW((void)ha.multiply(fb), Error);
-  EXPECT_THROW((void)SparseMatrix::from_block(ha), Error);
+  BlockSparseMatrix out;
+  BsrWorkspace ws;
+  EXPECT_THROW(ha.multiply_sym_into(fb, 0.0, out, ws), Error);
 }
 
 TEST(BlockSparseSym, TruncationDropsMirrorPairsStructurally) {
@@ -376,7 +343,7 @@ TEST(BlockSparseSym, TruncationDropsMirrorPairsStructurally) {
   const BlockSparseMatrix hs =
       BlockSparseMatrix::from_dense(s, 4).to_symmetric_half();
   for (const double drop : {1e-3, 3e-2}) {
-    const BlockSparseMatrix prod = hs.multiply(hs, drop);
+    const BlockSparseMatrix prod = sym_product(hs, hs, drop);
     const linalg::Matrix d = prod.to_dense();
     for (std::size_t i = 0; i < d.rows(); ++i) {
       for (std::size_t j = 0; j < i; ++j) {
@@ -384,7 +351,7 @@ TEST(BlockSparseSym, TruncationDropsMirrorPairsStructurally) {
       }
     }
     // Diagonal tiles survive: the trace is the untruncated one.
-    EXPECT_NEAR(prod.trace(), hs.multiply(hs, 0.0).trace(), 1e-10);
+    EXPECT_NEAR(prod.trace(), linalg::trace_of_product(s, s), 1e-10);
   }
 }
 
@@ -411,7 +378,7 @@ TEST(BlockSparseSym, PatternCacheSkipsSymbolicPhaseAndStaysBitIdentical) {
 
   // A pattern change in the operand (tile dropped by truncation) fails
   // fingerprint validation and rebuilds the entry -- never stale reuse.
-  const BlockSparseMatrix hb = ha.multiply(ha, 3e-1);
+  const BlockSparseMatrix hb = sym_product(ha, ha, 3e-1);
   ASSERT_NE(hb.pattern_fingerprint(), ha.pattern_fingerprint());
   BlockSparseMatrix out;
   hb.multiply_sym_into(hb, 1e-8, out, ws, &pat);
@@ -600,8 +567,8 @@ TEST_P(Sp2OnBsr, IdempotentWithExactTraceOnDiamond) {
   // Trace pins the electron count.
   EXPECT_NEAR(r.density.trace(), static_cast<double>(nocc), 1e-5);
   // Idempotency: tr(P) == tr(P^2) at convergence.
-  const BlockSparseMatrix p2 = r.density.multiply(r.density);
-  EXPECT_NEAR(r.density.trace() - p2.trace(), 0.0, 1e-5);
+  EXPECT_NEAR(r.density.trace() - r.density.trace_of_product(r.density), 0.0,
+              1e-5);
   // Band energy against exact diagonalization.
   const auto hd = h.to_dense();
   const auto occ =

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/linalg/blas.hpp"
+#include "src/linalg/blocked_tridiag.hpp"
 #include "src/linalg/cholesky.hpp"
 #include "src/linalg/matrix.hpp"
 #include "src/linalg/tridiagonal.hpp"
 #include "src/util/error.hpp"
+#include "src/util/parallel.hpp"
 #include "src/util/random.hpp"
 
 namespace tbmd::linalg {
@@ -348,6 +351,35 @@ TEST(Sturm, OutOfRangeIndexThrows) {
   const std::vector<double> d{1.0, 2.0};
   const std::vector<double> e{0.0, 0.1};
   EXPECT_THROW((void)tridiagonal_eigenvalue(d, e, 2), Error);
+}
+
+// --- blocked tridiagonalization -------------------------------------------
+
+TEST(BlockedTridiag, BitIdenticalAcrossRepeatedRunsAtFourThreads) {
+  // The trailing symv runs multithreaded once the trailing size reaches its
+  // parallel cutoff (128), so a 300 x 300 matrix exercises it for most
+  // columns.  Its partial sums are combined in a fixed order, so repeated
+  // reductions at the same team size must agree to the bit.
+  struct ThreadGuard {
+    int saved = par::max_threads();
+    ~ThreadGuard() { par::set_num_threads(saved); }
+  } guard;
+  par::set_num_threads(4);
+  const Matrix a = random_symmetric(300, 2024);
+  const TridiagFactorization ref = blocked_tridiagonalize(a);
+  const auto bitwise_equal = [](const double* x, const double* y,
+                                std::size_t n) {
+    return std::memcmp(x, y, n * sizeof(double)) == 0;
+  };
+  for (int run = 0; run < 20; ++run) {
+    const TridiagFactorization f = blocked_tridiagonalize(a);
+    EXPECT_TRUE(bitwise_equal(f.d.data(), ref.d.data(), 300)) << run;
+    EXPECT_TRUE(bitwise_equal(f.e.data(), ref.e.data(), 300)) << run;
+    EXPECT_TRUE(bitwise_equal(f.tau.data(), ref.tau.data(), 300)) << run;
+    EXPECT_TRUE(bitwise_equal(f.reflectors.data(), ref.reflectors.data(),
+                              300 * 300))
+        << run;
+  }
 }
 
 }  // namespace
