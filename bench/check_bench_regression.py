@@ -101,9 +101,11 @@ def main():
     ap.add_argument("--no-normalize", action="store_true",
                     help="compare raw milliseconds instead")
     args = ap.parse_args()
-    # BM_BsrSpMMSym/216 carries a tighter 5% limit: it is the steady-state
-    # purification kernel on the uniform sp fast path, and the variable-
-    # block generalization must stay effectively free for carbon/silicon.
+    # BM_BsrSpMMSym/216 carries a tighter 5% limit: the warm Hamiltonian
+    # product H * H, whose super-tiles are all sparse, so it times the
+    # atom-tile path of the symmetric-half SpMM (the dense super-tile path
+    # of the converged purification products is gated through
+    # BM_TbOnStep/216).
     # The fp32 twin rides at the default limit: it is ISA-sensitive (packed
     # ps lanes gain more from AVX/FMA than the median kernel), so a
     # non-native CI build shifts its normalized ratio more than the fp64

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/linalg/panel_kernel.hpp"
 #include "src/util/parallel.hpp"
 
 namespace tbmd::linalg {
@@ -202,193 +203,10 @@ void syr2k_lower(std::size_t n, std::size_t k, double alpha, const double* a,
   rank_k_lower<true>(n, k, alpha, a, lda, b, ldb, c, ldc);
 }
 
-namespace {
-
-/// Compile-time-sized square tile product C += op(A) * op(B) with k-major
-/// accumulation per output row (an N-wide accumulator the compiler keeps in
-/// registers).  Instantiated at N == 9 for the spd orbital block; the sp
-/// block keeps its hand-unrolled kernels below so that path's code is
-/// byte-for-byte what it was before the variable-block refactor.
-template <std::size_t N>
-inline void micro_add_square(bool transpose_a, bool transpose_b,
-                             const double* a, const double* b, double* c) {
-  for (std::size_t i = 0; i < N; ++i) {
-    double acc[N] = {};
-    for (std::size_t k = 0; k < N; ++k) {
-      const double aik = transpose_a ? a[N * k + i] : a[N * i + k];
-      const double* bk = transpose_b ? b + k : b + N * k;
-      const std::size_t bstep = transpose_b ? N : 1;
-      for (std::size_t j = 0; j < N; ++j) acc[j] += aik * bk[bstep * j];
-    }
-    double* ci = c + N * i;
-    for (std::size_t j = 0; j < N; ++j) ci[j] += acc[j];
-  }
-}
-
-}  // namespace
-
-void gemm_micro_add(std::size_t bs, const double* a, const double* b,
-                    double* c) {
-  // bs == 4 tested first: the legacy sp models make it by far the hottest
-  // tile edge, so it pays exactly one predicted branch.
-  if (bs == 4) {
-    // Fully unrolled 4x4x4: each output row is accumulated in four scalars
-    // (registers), reading each A entry once and streaming B's rows.
-    for (std::size_t i = 0; i < 4; ++i) {
-      const double* ai = a + 4 * i;
-      double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
-      for (std::size_t k = 0; k < 4; ++k) {
-        const double aik = ai[k];
-        const double* bk = b + 4 * k;
-        c0 += aik * bk[0];
-        c1 += aik * bk[1];
-        c2 += aik * bk[2];
-        c3 += aik * bk[3];
-      }
-      double* ci = c + 4 * i;
-      ci[0] += c0;
-      ci[1] += c1;
-      ci[2] += c2;
-      ci[3] += c3;
-    }
-    return;
-  }
-  if (bs == 1) {
-    c[0] += a[0] * b[0];
-    return;
-  }
-  if (bs == 9) {
-    micro_add_square<9>(false, false, a, b, c);
-    return;
-  }
-  for (std::size_t i = 0; i < bs; ++i) {
-    const double* ai = a + bs * i;
-    double* ci = c + bs * i;
-    for (std::size_t k = 0; k < bs; ++k) {
-      const double aik = ai[k];
-      if (aik == 0.0) continue;
-      const double* bk = b + bs * k;
-      for (std::size_t j = 0; j < bs; ++j) ci[j] += aik * bk[j];
-    }
-  }
-}
-
-void gemm_micro_add_t(std::size_t bs, bool transpose_a, bool transpose_b,
-                      const double* a, const double* b, double* c) {
-  if (!transpose_a && !transpose_b) {
-    gemm_micro_add(bs, a, b, c);
-    return;
-  }
-  if (bs == 4) {
-    // Unrolled like the nn fast path: four C-row scalars in registers,
-    // k-major accumulation.  The transposed operand is read with stride 4
-    // (column walk of the stored row-major tile).
-    if (transpose_a && !transpose_b) {
-      for (std::size_t i = 0; i < 4; ++i) {
-        const double* ai = a + i;  // column i of A == row i of A^T
-        double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
-        for (std::size_t k = 0; k < 4; ++k) {
-          const double aik = ai[4 * k];
-          const double* bk = b + 4 * k;
-          c0 += aik * bk[0];
-          c1 += aik * bk[1];
-          c2 += aik * bk[2];
-          c3 += aik * bk[3];
-        }
-        double* ci = c + 4 * i;
-        ci[0] += c0;
-        ci[1] += c1;
-        ci[2] += c2;
-        ci[3] += c3;
-      }
-    } else if (!transpose_a && transpose_b) {
-      for (std::size_t i = 0; i < 4; ++i) {
-        const double* ai = a + 4 * i;
-        double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
-        for (std::size_t k = 0; k < 4; ++k) {
-          const double aik = ai[k];
-          const double* bk = b + k;  // column k of B == row k of B^T
-          c0 += aik * bk[0];
-          c1 += aik * bk[4];
-          c2 += aik * bk[8];
-          c3 += aik * bk[12];
-        }
-        double* ci = c + 4 * i;
-        ci[0] += c0;
-        ci[1] += c1;
-        ci[2] += c2;
-        ci[3] += c3;
-      }
-    } else {
-      for (std::size_t i = 0; i < 4; ++i) {
-        const double* ai = a + i;
-        double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
-        for (std::size_t k = 0; k < 4; ++k) {
-          const double aik = ai[4 * k];
-          const double* bk = b + k;
-          c0 += aik * bk[0];
-          c1 += aik * bk[4];
-          c2 += aik * bk[8];
-          c3 += aik * bk[12];
-        }
-        double* ci = c + 4 * i;
-        ci[0] += c0;
-        ci[1] += c1;
-        ci[2] += c2;
-        ci[3] += c3;
-      }
-    }
-    return;
-  }
-  if (bs == 1) {
-    c[0] += a[0] * b[0];  // a 1 x 1 tile is its own transpose
-    return;
-  }
-  if (bs == 9) {
-    micro_add_square<9>(transpose_a, transpose_b, a, b, c);
-    return;
-  }
-  const auto at = [&](std::size_t i, std::size_t k) {
-    return transpose_a ? a[bs * k + i] : a[bs * i + k];
-  };
-  const auto bt = [&](std::size_t k, std::size_t j) {
-    return transpose_b ? b[bs * j + k] : b[bs * k + j];
-  };
-  for (std::size_t i = 0; i < bs; ++i) {
-    double* ci = c + bs * i;
-    for (std::size_t j = 0; j < bs; ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < bs; ++k) s += at(i, k) * bt(k, j);
-      ci[j] += s;
-    }
-  }
-}
-
-void gemm_micro_add_rect(std::size_t m, std::size_t k, std::size_t n,
-                         bool transpose_a, bool transpose_b, const double* a,
-                         const double* b, double* c) {
-  if (m == k && k == n) {
-    gemm_micro_add_t(m, transpose_a, transpose_b, a, b, c);
-    return;
-  }
-  // Generic rectangular fallback.  The stored tile of a transposed operand
-  // has the swapped shape, so op(A)(i, q) walks it with the strides below.
-  const std::size_t a_row = transpose_a ? 1 : k;
-  const std::size_t a_col = transpose_a ? m : 1;
-  const std::size_t b_row = transpose_b ? 1 : n;
-  const std::size_t b_col = transpose_b ? k : 1;
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* ai = a + a_row * i;
-    double* ci = c + n * i;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double* bj = b + b_col * j;
-      double s = 0.0;
-      for (std::size_t q = 0; q < k; ++q) {
-        s += ai[a_col * q] * bj[b_row * q];
-      }
-      ci[j] += s;
-    }
-  }
+void gemm_panel_add(std::size_t m, std::size_t k, std::size_t n,
+                    const double* a, std::size_t lda, const double* b,
+                    std::size_t ldb, double* c, std::size_t ldc) {
+  detail::panel_add(m, k, n, a, lda, b, ldb, c, ldc);
 }
 
 double tile_norm2(std::size_t bs, const double* a) {

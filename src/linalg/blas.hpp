@@ -47,39 +47,31 @@ void syr2k_lower(std::size_t n, std::size_t k, double alpha, const double* a,
                  std::size_t lda, const double* b, std::size_t ldb, double* c,
                  std::size_t ldc);
 
-/// Tiny dense tile product C += A * B for bs x bs row-major blocks (the
-/// inner kernel of the block-sparse SpMM in src/onx).  Dispatch table over
-/// the orbital block sizes of the shipped models: bs == 1 (s-only), bs == 4
-/// (sp, fully unrolled so the compiler keeps the 4-wide C row in registers)
-/// and bs == 9 (spd) each get a dedicated path; other sizes fall back to
-/// the generic triple loop.
-void gemm_micro_add(std::size_t bs, const double* a, const double* b,
-                    double* c);
+/// Dense panel product C += A * B with A m x k, B k x n and C m x n, all
+/// row-major with leading dimensions lda / ldb / ldc.  The kernel of the
+/// super-tile SpMM in src/onx: a register-blocked body (a block of C rows
+/// times two SIMD vectors of C columns held in registers across the whole
+/// k loop) plus narrower remainder blocks, so any (m, k, n) runs -- the
+/// 32 x 32 sp super-tiles, the Sigma-dims super-tiles of mixed layouts and
+/// single atom tiles alike.  Per output element the sum is
+/// c + a_0 b_0 + a_1 b_1 + ... in k order on every path, so a fixed call
+/// sequence is bit-reproducible.  Out of line on purpose:
+/// bench/check_simd_codegen.sh disassembles this symbol and requires packed
+/// double arithmetic in it.  The body lives in panel_kernel.hpp.
+void gemm_panel_add(std::size_t m, std::size_t k, std::size_t n,
+                    const double* a, std::size_t lda, const double* b,
+                    std::size_t ldb, double* c, std::size_t ldc);
 
-/// Transpose-flagged variant C += op(A) * op(B) with op(X) = X or X^T per
-/// flag.  The mirrored-tile kernel of the symmetric-half block-sparse SpMM:
-/// a half-stored symmetric matrix keeps only tiles (I, J) with J >= I, so
-/// products drawing on the lower half read the stored mirror tile
-/// transposed.  All four transpose combinations are fully unrolled at
-/// bs == 4, with dedicated bs == 1 and bs == 9 paths like gemm_micro_add;
-/// (false, false) is exactly gemm_micro_add.  Accumulation order
-/// per output element is k-major in every variant, so results are
-/// bit-reproducible across the symbolic/numeric SpMM phases.
-void gemm_micro_add_t(std::size_t bs, bool transpose_a, bool transpose_b,
-                      const double* a, const double* b, double* c);
-
-/// Rectangular tile product C += op(A) * op(B) for the variable-block
-/// (mixed-orbital) block-sparse SpMM: op(A) is m x k, op(B) is k x n and C
-/// is m x n, all row-major with their natural leading dimensions (the
-/// stored tile of a transposed operand is k x m resp. n x k).  Dispatches
-/// to the fully unrolled square kernels when m == k == n (1, 4 and 9 -- the
-/// s, sp and spd orbital blocks -- are unrolled; see gemm_micro_add) and to
-/// a generic loop otherwise.  Accumulation order per output element is
-/// k-major in every path, so mixed-tile products are bit-reproducible
-/// across the symbolic/numeric SpMM phases just like the uniform ones.
-void gemm_micro_add_rect(std::size_t m, std::size_t k, std::size_t n,
-                         bool transpose_a, bool transpose_b, const double* a,
-                         const double* b, double* c);
+/// dst = src^T for a rows x cols row-major panel: dst is cols x rows.  The
+/// SpMM transposes a stored upper-half tile into scratch when a product
+/// needs its lower-half mirror.
+inline void transpose_panel(std::size_t rows, std::size_t cols,
+                            const double* src, std::size_t lds, double* dst,
+                            std::size_t ldd) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) dst[ldd * c + r] = src[lds * r + c];
+  }
+}
 
 /// Squared Frobenius norm of a bs x bs row-major tile (block truncation
 /// criterion of the block-sparse layer).
@@ -94,19 +86,17 @@ void gemm_micro_add_rect(std::size_t m, std::size_t k, std::size_t n,
 //
 // The loose-early purification iterations run their SpMM on fp32 tiles --
 // half the memory traffic exactly where the numeric phase is
-// bandwidth-bound -- and the fp32 kernels mirror the fp64 family's
-// contracts: k-major accumulation per output element in every variant, so
-// warm/cold and cross-thread results stay bit-identical within a given
-// binary.  The square kernels are built on explicit lane vectors (GNU
-// vector extensions): lanes are independent output elements, so
+// bandwidth-bound.  The fp32 kernels keep k-major accumulation per output
+// element in every variant, so warm/cold and cross-thread results stay
+// bit-identical within a given binary.  The square kernels are built on
+// explicit lane vectors (GNU vector extensions): lanes are independent
+// output elements, so
 // vectorization never reorders any element's k-accumulation (the PR 6
 // codegen lesson), and unlike `#pragma omp simd` -- which GCC lowers to
 // scalarized fma chains for 4-float trip counts -- the lane type guarantees
 // packed ps arithmetic.  Defined inline so the SpMM sweep's per-product
 // call disappears: at ~7 ns per 4x4 tile product the call overhead is a
-// measurable fraction of the kernel itself.  The fp64 kernels above are
-// textually untouched so the pure-fp64 path's code (and its bit pattern)
-// cannot drift.
+// measurable fraction of the kernel itself.
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -218,10 +208,10 @@ inline void micro_add_square_f32(bool transpose_a, bool transpose_b,
 /// unrolled dispatch, the `simd = off` arm of the NumericsSpec A/B switch.
 /// Per-element accumulation is k-major like every other kernel, so the
 /// switch never changes a bit of a fixed-precision result, only its speed.
-inline void gemm_micro_add_rect_f32_ref(std::size_t m, std::size_t k,
-                                        std::size_t n, bool transpose_a,
-                                        bool transpose_b, const float* a,
-                                        const float* b, float* c) {
+inline void tile_add_rect_f32_ref(std::size_t m, std::size_t k,
+                                  std::size_t n, bool transpose_a,
+                                  bool transpose_b, const float* a,
+                                  const float* b, float* c) {
   const std::size_t a_row = transpose_a ? 1 : k;
   const std::size_t a_col = transpose_a ? m : 1;
   const std::size_t b_row = transpose_b ? 1 : n;
@@ -243,9 +233,8 @@ inline void gemm_micro_add_rect_f32_ref(std::size_t m, std::size_t k,
 /// Transpose-flagged fp32 tile product C += op(A) * op(B) for bs x bs
 /// row-major tiles (bs in {1, 4, 9} on lane-vector fast paths, generic
 /// fallback otherwise).
-inline void gemm_micro_add_t_f32(std::size_t bs, bool transpose_a,
-                                 bool transpose_b, const float* a,
-                                 const float* b, float* c) {
+inline void tile_add_t_f32(std::size_t bs, bool transpose_a, bool transpose_b,
+                           const float* a, const float* b, float* c) {
   if (bs == 4) {
     detail::micro_add_square_f32<4>(transpose_a, transpose_b, a, b, c);
     return;
@@ -258,27 +247,20 @@ inline void gemm_micro_add_t_f32(std::size_t bs, bool transpose_a,
     detail::micro_add_square_f32<9>(transpose_a, transpose_b, a, b, c);
     return;
   }
-  gemm_micro_add_rect_f32_ref(bs, bs, bs, transpose_a, transpose_b, a, b, c);
+  tile_add_rect_f32_ref(bs, bs, bs, transpose_a, transpose_b, a, b, c);
 }
 
-/// C += A * B for bs x bs row-major fp32 tiles; exactly
-/// gemm_micro_add_t_f32(bs, false, false, ...).
-inline void gemm_micro_add_f32(std::size_t bs, const float* a, const float* b,
-                               float* c) {
-  gemm_micro_add_t_f32(bs, false, false, a, b, c);
-}
-
-/// Rectangular fp32 tile product for the variable-block SpMM (see
-/// gemm_micro_add_rect).
-inline void gemm_micro_add_rect_f32(std::size_t m, std::size_t k,
-                                    std::size_t n, bool transpose_a,
-                                    bool transpose_b, const float* a,
-                                    const float* b, float* c) {
+/// Rectangular fp32 tile product for the variable-block SpMM: op(A) is
+/// m x k, op(B) is k x n, C is m x n (the stored tile of a transposed
+/// operand has the swapped shape).
+inline void tile_add_rect_f32(std::size_t m, std::size_t k, std::size_t n,
+                              bool transpose_a, bool transpose_b,
+                              const float* a, const float* b, float* c) {
   if (m == k && k == n) {
-    gemm_micro_add_t_f32(m, transpose_a, transpose_b, a, b, c);
+    tile_add_t_f32(m, transpose_a, transpose_b, a, b, c);
     return;
   }
-  gemm_micro_add_rect_f32_ref(m, k, n, transpose_a, transpose_b, a, b, c);
+  tile_add_rect_f32_ref(m, k, n, transpose_a, transpose_b, a, b, c);
 }
 
 /// Squared Frobenius norm of an m x n fp32 tile, accumulated in double

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/linalg/blas.hpp"
+#include "src/linalg/panel_kernel.hpp"
 #include "src/util/error.hpp"
 #include "src/util/parallel.hpp"
 
@@ -883,17 +885,17 @@ void reset_workspace_f32(BsrWorkspace& ws, std::size_t nb) {
   }
 }
 
-/// Mirror-expand the half pattern of `a` into a full per-row adjacency:
-/// for every block row the sorted list of neighbors, each entry naming the
-/// stored upper-half tile and whether it must be read transposed.  Two
-/// passes keep each row sorted without a per-row sort: mirrored neighbors
-/// (columns < row, ascending with the source-row scan) first, then the
-/// stored row itself (columns >= row, already sorted).
-void build_sym_adjacency(const BlockSparseMatrix& a,
+/// Mirror-expand a half pattern (nb block rows, row offsets `row_ptr`,
+/// sorted columns `cols`, all >= the row) into a full per-row adjacency:
+/// for every row the sorted list of neighbors, each entry naming the stored
+/// upper-half tile and whether it must be read transposed.  Two passes keep
+/// each row sorted without a per-row sort: mirrored neighbors (columns <
+/// row, ascending with the source-row scan) first, then the stored row
+/// itself (columns >= row, already sorted).
+void build_sym_adjacency(std::size_t nb,
+                         const std::vector<std::size_t>& row_ptr,
+                         const std::vector<std::uint32_t>& cols,
                          BsrWorkspace::SymAdjacency& adj) {
-  const auto& row_ptr = a.row_ptr();
-  const auto& cols = a.cols();
-  const std::size_t nb = a.block_rows();
   adj.ptr.assign(nb + 1, 0);
   for (std::size_t bi = 0; bi < nb; ++bi) {
     adj.ptr[bi + 1] += row_ptr[bi + 1] - row_ptr[bi];
@@ -927,6 +929,11 @@ void build_sym_adjacency(const BlockSparseMatrix& a,
   }
 }
 
+void build_sym_adjacency(const BlockSparseMatrix& a,
+                         BsrWorkspace::SymAdjacency& adj) {
+  build_sym_adjacency(a.block_rows(), a.row_ptr(), a.cols(), adj);
+}
+
 /// First adjacency entry of row `bk` with column >= `bi` (the J >= I
 /// restriction of the upper-half product sweep).
 inline std::size_t adj_lower_bound(const BsrWorkspace::SymAdjacency& adj,
@@ -936,6 +943,383 @@ inline std::size_t adj_lower_bound(const BsrWorkspace::SymAdjacency& adj,
       adj.col.begin() + static_cast<std::ptrdiff_t>(adj.ptr[bk + 1]);
   const auto it = std::lower_bound(begin, end, static_cast<std::uint32_t>(bi));
   return static_cast<std::size_t>(it - adj.col.begin());
+}
+
+/// Block rows per super row of the fp64 SpMM: 8 sp atoms make the 32 x 32
+/// super-tiles the panel kernel multiplies.
+constexpr std::size_t kSuperRows = 8;
+constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+constexpr std::size_t kUnpacked = std::numeric_limits<std::size_t>::max();
+
+/// Grow `v` to at least n elements, new ones zero, with capacity exactly n:
+/// the super-tile buffers are sized by the largest product seen, not by the
+/// vector's geometric growth.
+inline void grow_exact(std::vector<double>& v, std::size_t n) {
+  if (v.size() >= n) return;
+  v.reserve(n);
+  v.resize(n, 0.0);
+}
+
+/// Pack a super-tile dense for the GEMM path?  Yes when its present atom
+/// tiles cover at least half of its scalar area; sparser super-tiles keep
+/// atom-level products.  Measured on the drop-1e-4 purification products
+/// at 512 and 1000 atoms (1 and 4 threads), cutoffs from 0.3 to 0.7 time
+/// the same within run-to-run noise, while packing only full super-tiles
+/// was up to 1.3x slower (512 atoms, 4 threads).
+inline bool dense_enough(std::size_t area, std::size_t rows,
+                         std::size_t cols) {
+  return 2 * area >= rows * cols;
+}
+
+/// Super-row offsets of `b`'s layout and its upper super-tile pattern with
+/// the packed offset of every dense super-tile (serial, O(stored tiles));
+/// the values are packed later, one super row at a time.
+void build_super_tiles(const BlockSparseMatrix& b,
+                       BsrWorkspace::SuperTiles& st) {
+  const std::size_t nb = b.block_rows();
+  const std::size_t ns = (nb + kSuperRows - 1) / kSuperRows;
+  const std::vector<std::size_t>& row_ptr = b.row_ptr();
+  const std::vector<std::uint32_t>& cols = b.cols();
+  st.off.resize(ns + 1);
+  for (std::size_t s = 0; s < ns; ++s) {
+    st.off[s] = b.row_offset(kSuperRows * s);
+  }
+  st.off[ns] = b.size();
+  st.mark.assign(ns, kNoSlot);
+  st.ptr.assign(ns + 1, 0);
+  st.col.clear();
+  for (std::size_t sk = 0; sk < ns; ++sk) {
+    const std::size_t first = st.col.size();
+    const std::size_t bend = std::min(nb, kSuperRows * (sk + 1));
+    for (std::size_t bk = kSuperRows * sk; bk < bend; ++bk) {
+      for (std::size_t q = row_ptr[bk]; q < row_ptr[bk + 1]; ++q) {
+        const std::size_t sj = cols[q] / kSuperRows;
+        if (st.mark[sj] != sk) {
+          st.mark[sj] = static_cast<std::uint32_t>(sk);
+          st.col.push_back(static_cast<std::uint32_t>(sj));
+        }
+      }
+    }
+    std::sort(st.col.begin() + static_cast<std::ptrdiff_t>(first),
+              st.col.end());
+    st.ptr[sk + 1] = st.col.size();
+  }
+  // Scalar area of the present atom tiles per super-tile (a mirror pair
+  // inside a diagonal super-tile covers two tiles), then packed offsets.
+  st.val.assign(st.col.size(), 0);
+  for (std::size_t sk = 0; sk < ns; ++sk) {
+    const std::size_t bend = std::min(nb, kSuperRows * (sk + 1));
+    for (std::size_t bk = kSuperRows * sk; bk < bend; ++bk) {
+      std::size_t t = st.ptr[sk];
+      for (std::size_t q = row_ptr[bk]; q < row_ptr[bk + 1]; ++q) {
+        const std::size_t bj = cols[q];
+        const std::size_t sj = bj / kSuperRows;
+        while (st.col[t] < sj) ++t;
+        const std::size_t area = b.row_dim(bk) * b.row_dim(bj);
+        st.val[t] += (sj == sk && bj != bk) ? 2 * area : area;
+      }
+    }
+  }
+  std::size_t packed = 0;
+  for (std::size_t sk = 0; sk < ns; ++sk) {
+    const std::size_t wk = st.off[sk + 1] - st.off[sk];
+    for (std::size_t t = st.ptr[sk]; t < st.ptr[sk + 1]; ++t) {
+      const std::size_t wj = st.off[st.col[t] + 1] - st.off[st.col[t]];
+      if (dense_enough(st.val[t], wk, wj)) {
+        st.val[t] = packed;
+        packed += wk * wj;
+      } else {
+        st.val[t] = kUnpacked;
+      }
+    }
+  }
+  grow_exact(st.vals, packed);
+  build_sym_adjacency(ns, st.ptr, st.col, st.adj);
+}
+
+/// Pack super row `sk` of `b`: every dense upper super-tile becomes a
+/// row-major panel, zeros where atom tiles are absent; a diagonal
+/// super-tile also receives the implicit mirrors of its off-diagonal tiles.
+void pack_super_row(const BlockSparseMatrix& b, BsrWorkspace::SuperTiles& st,
+                    std::size_t sk) {
+  const std::vector<std::size_t>& row_ptr = b.row_ptr();
+  const std::vector<std::uint32_t>& cols = b.cols();
+  const std::size_t wk = st.off[sk + 1] - st.off[sk];
+  for (std::size_t t = st.ptr[sk]; t < st.ptr[sk + 1]; ++t) {
+    if (st.val[t] == kUnpacked) continue;
+    const std::size_t wj = st.off[st.col[t] + 1] - st.off[st.col[t]];
+    std::fill_n(st.vals.data() + st.val[t], wk * wj, 0.0);
+  }
+  const std::size_t bend = std::min(b.block_rows(), kSuperRows * (sk + 1));
+  for (std::size_t bk = kSuperRows * sk; bk < bend; ++bk) {
+    const std::size_t dk = b.row_dim(bk);
+    const std::size_t r0 = b.row_offset(bk) - st.off[sk];
+    std::size_t t = st.ptr[sk];
+    for (std::size_t q = row_ptr[bk]; q < row_ptr[bk + 1]; ++q) {
+      const std::size_t bj = cols[q];
+      const std::size_t sj = bj / kSuperRows;
+      while (st.col[t] < sj) ++t;
+      if (st.val[t] == kUnpacked) continue;
+      const std::size_t wj = st.off[sj + 1] - st.off[sj];
+      const std::size_t dj = b.row_dim(bj);
+      const std::size_t c0 = b.row_offset(bj) - st.off[sj];
+      double* dst = st.vals.data() + st.val[t];
+      const double* tile = b.block(q);
+      for (std::size_t r = 0; r < dk; ++r) {
+        std::copy_n(tile + dj * r, dj, dst + wj * (r0 + r) + c0);
+      }
+      if (sj == sk && bj != bk) {
+        linalg::transpose_panel(dk, dj, tile, dj, dst + wj * c0 + r0, wj);
+      }
+    }
+  }
+}
+
+/// Super row `si` of the upper-half product C = A * B on the frozen output
+/// pattern `pat`, into the staging rows ws.row_cols / ws.row_vals.
+///
+/// Gustavson at super-tile granularity: for every super column SK of A's
+/// row panel (ascending) and every super-tile B(SK, SJ) with SJ >= SI, the
+/// product C(SI, SJ) += A(SI, SK) B(SK, SJ) runs on the panel kernel when
+/// both super-tiles are packed dense (a lower B super-tile is transposed
+/// into scratch first).  Every other atom product A_IK B_KJ then runs on
+/// the same kernel tile by tile, in the order of the block-row Gustavson
+/// sweep.  C holds a row-major super-tile slot only where the pattern has
+/// a tile; the gather applies the tile truncation and leaves the C panel
+/// all zero again.  A fixed call sequence per super row makes results
+/// independent of the thread that runs it.
+void multiply_super_row(const BlockSparseMatrix& a, const BlockSparseMatrix& b,
+                        const BsrPattern& pat, double drop_tolerance,
+                        double sub_tile_drop, BsrWorkspace& ws,
+                        BsrWorkspace::SuperPanel& p, std::size_t si) {
+  const BsrWorkspace::SuperTiles& st = ws.super_b;
+  const BsrWorkspace::SymAdjacency& adj_a = ws.adj_a;
+  const BsrWorkspace::SymAdjacency& adj_b = (&b == &a) ? ws.adj_a : ws.adj_b;
+  const std::size_t nb = a.block_rows();
+  const std::size_t i0 = kSuperRows * si;
+  const std::size_t i1 = std::min(nb, i0 + kSuperRows);
+  const std::size_t m = st.off[si + 1] - st.off[si];
+  const std::size_t* const soff = st.off.data();
+  const auto width = [soff](std::size_t s) { return soff[s + 1] - soff[s]; };
+  // Atom-tile scratch: op(A_IK) and op(B_KJ).  Atom tiles of sp layouts
+  // take compile-time-shaped copies and kernel calls.
+  const bool sp = a.uniform_blocks() && a.block_size() == 4;
+  const std::size_t mbs = a.max_block_size();
+  double* const ta = p.t.data();
+  double* const tb = ta + mbs * mbs;
+
+  // A's row panel: super columns (ascending), scalar area, and the dense
+  // super-tiles packed with op() applied from the mirror-expanded adj_a.
+  p.a_cols.clear();
+  for (std::size_t ua = adj_a.ptr[i0]; ua < adj_a.ptr[i1]; ++ua) {
+    const std::size_t sk = adj_a.col[ua] / kSuperRows;
+    if (p.a_slot[sk] == kNoSlot) {
+      p.a_slot[sk] = 0;
+      p.a_cols.push_back(static_cast<std::uint32_t>(sk));
+    }
+  }
+  std::sort(p.a_cols.begin(), p.a_cols.end());
+  p.a_off.assign(p.a_cols.size(), 0);
+  for (std::size_t s = 0; s < p.a_cols.size(); ++s) {
+    p.a_slot[p.a_cols[s]] = static_cast<std::uint32_t>(s);
+  }
+  for (std::size_t bi = i0; bi < i1; ++bi) {
+    for (std::size_t ua = adj_a.ptr[bi]; ua < adj_a.ptr[bi + 1]; ++ua) {
+      const std::size_t bk = adj_a.col[ua];
+      p.a_off[p.a_slot[bk / kSuperRows]] += a.row_dim(bi) * a.row_dim(bk);
+    }
+  }
+  std::size_t a_size = 0;
+  for (std::size_t s = 0; s < p.a_cols.size(); ++s) {
+    const std::size_t wk = width(p.a_cols[s]);
+    if (dense_enough(p.a_off[s], m, wk)) {
+      p.a_off[s] = a_size;
+      a_size += m * wk;
+    } else {
+      p.a_off[s] = kUnpacked;
+    }
+  }
+  grow_exact(p.a, a_size);
+  std::fill_n(p.a.data(), a_size, 0.0);
+  for (std::size_t bi = i0; bi < i1; ++bi) {
+    const std::size_t di = a.row_dim(bi);
+    const std::size_t r0 = a.row_offset(bi) - soff[si];
+    for (std::size_t ua = adj_a.ptr[bi]; ua < adj_a.ptr[bi + 1]; ++ua) {
+      const std::size_t bk = adj_a.col[ua];
+      const std::size_t sk = bk / kSuperRows;
+      const std::size_t off = p.a_off[p.a_slot[sk]];
+      if (off == kUnpacked) continue;
+      const std::size_t wk = width(sk);
+      const std::size_t dk = a.row_dim(bk);
+      double* dst = p.a.data() + off + wk * r0 + (a.row_offset(bk) - soff[sk]);
+      const double* tile = a.block(adj_a.tile[ua]);
+      if (adj_a.trans[ua] != 0) {
+        linalg::transpose_panel(dk, di, tile, di, dst, wk);
+      } else {
+        for (std::size_t r = 0; r < di; ++r) {
+          std::copy_n(tile + dk * r, dk, dst + wk * r);
+        }
+      }
+    }
+  }
+
+  // C slots: one row-major super-tile per super column holding an
+  // output-pattern tile, super column SJ's at offset c_base[SJ].  The panel
+  // only grows (with zeros), so it is all zero on entry.
+  p.c_cols.clear();
+  std::size_t c_size = 0;
+  for (std::size_t pp = pat.row_ptr[i0]; pp < pat.row_ptr[i1]; ++pp) {
+    const std::size_t sj = pat.cols[pp] / kSuperRows;
+    if (p.c_slot[sj] == kNoSlot) {
+      p.c_slot[sj] = static_cast<std::uint32_t>(p.c_cols.size());
+      p.c_cols.push_back(static_cast<std::uint32_t>(sj));
+      p.c_base[sj] = c_size;
+      c_size += m * width(sj);
+    }
+  }
+  p.c_dense.assign(p.c_cols.size(), 0);
+  grow_exact(p.c, c_size);
+  double* const cpanel = p.c.data();
+  const std::size_t* const c_base = p.c_base.data();
+
+  // Dense super-tile pairs on the panel kernel.  a_mixed[s] records that
+  // B's super row SK also holds unpacked super-tiles, whose atom products
+  // remain for the loop below.
+  p.a_mixed.assign(p.a_cols.size(), 0);
+  for (std::size_t s = 0; s < p.a_cols.size(); ++s) {
+    if (p.a_off[s] == kUnpacked) continue;
+    const std::size_t sk = p.a_cols[s];
+    const std::size_t wk = width(sk);
+    const double* ap = p.a.data() + p.a_off[s];
+    for (std::size_t ub = adj_lower_bound(st.adj, sk, si);
+         ub < st.adj.ptr[sk + 1]; ++ub) {
+      const std::size_t sj = st.adj.col[ub];
+      const std::size_t packed = st.val[st.adj.tile[ub]];
+      const std::uint32_t cs = p.c_slot[sj];
+      if (packed == kUnpacked) p.a_mixed[s] = 1;
+      if (packed == kUnpacked || cs == kNoSlot) continue;
+      const std::size_t wj = width(sj);
+      const double* bp = st.vals.data() + packed;
+      if (st.adj.trans[ub] != 0) {
+        linalg::transpose_panel(wj, wk, bp, wk, p.t.data(), wj);
+        bp = p.t.data();
+      }
+      linalg::gemm_panel_add(m, wk, wj, ap, wk, bp, wj,
+                             cpanel + c_base[sj], wj);
+      p.c_dense[cs] = 1;
+    }
+  }
+
+  // The remaining atom products, block row by block row.  Behind a dense
+  // A super-tile, a cursor over B's super row SK skips the J whose
+  // super-tile B(SK, SJ) the panel kernel already covered (all of them
+  // unless a_mixed).
+  const std::uint32_t* const bcol = adj_b.col.data();
+  const std::uint32_t* const btile = adj_b.tile.data();
+  const std::uint8_t* const btrans = adj_b.trans.data();
+  const std::uint32_t* const scol = st.adj.col.data();
+  const std::uint32_t* const stile = st.adj.tile.data();
+  for (std::size_t bi = i0; bi < i1; ++bi) {
+    const std::size_t di = a.row_dim(bi);
+    const std::size_t r0 = a.row_offset(bi) - soff[si];
+    for (std::size_t ua = adj_a.ptr[bi]; ua < adj_a.ptr[bi + 1]; ++ua) {
+      const std::size_t bk = adj_a.col[ua];
+      const std::size_t sk = bk / kSuperRows;
+      const std::size_t s = p.a_slot[sk];
+      const bool a_dense = p.a_off[s] != kUnpacked;
+      if (a_dense && p.a_mixed[s] == 0) continue;
+      std::size_t t = st.adj.ptr[sk];
+      const std::size_t dk = a.row_dim(bk);
+      const double* at = a.block(adj_a.tile[ua]);
+      if (adj_a.trans[ua] != 0) {
+        linalg::transpose_panel(dk, di, at, di, ta, dk);
+        at = ta;
+      }
+      const std::size_t ue = adj_b.ptr[bk + 1];
+      for (std::size_t ub = adj_lower_bound(adj_b, bk, bi); ub < ue; ++ub) {
+        const std::size_t bj = bcol[ub];
+        const std::size_t sj = bj / kSuperRows;
+        if (a_dense) {
+          while (scol[t] < sj) ++t;
+          if (st.val[stile[t]] != kUnpacked) continue;
+        }
+        const std::size_t dj = b.row_dim(bj);
+        const double* bt = b.block(btile[ub]);
+        if (btrans[ub] != 0) {
+          linalg::transpose_panel(dj, dk, bt, dk, tb, dj);
+          bt = tb;
+        }
+        const std::size_t wj = width(sj);
+        double* c =
+            cpanel + c_base[sj] + wj * r0 + (b.row_offset(bj) - soff[sj]);
+        if (sp) {
+          linalg::detail::panel_add(4, 4, 4, at, 4, bt, 4, c, wj);
+        } else {
+          linalg::gemm_panel_add(di, dk, dj, at, dk, bt, dj, c, wj);
+        }
+      }
+    }
+  }
+
+  // Gather the pattern tiles with the tile truncation, zeroing what was
+  // read; GEMM-written slots are zeroed whole (their off-pattern entries
+  // included) so the panel is all zero for the next super row.
+  for (std::size_t bi = i0; bi < i1; ++bi) {
+    const std::size_t di = a.row_dim(bi);
+    const std::size_t r0 = a.row_offset(bi) - soff[si];
+    auto& cols = ws.row_cols[bi];
+    auto& vals = ws.row_vals[bi];
+    const std::size_t pe = pat.row_ptr[bi + 1];
+    cols.reserve(pe - pat.row_ptr[bi]);
+    for (std::size_t pp = pat.row_ptr[bi]; pp < pe; ++pp) {
+      const std::uint32_t bj = pat.cols[pp];
+      const std::size_t sj = bj / kSuperRows;
+      const std::size_t wj = width(sj);
+      const std::size_t dj = a.row_dim(bj);
+      const std::size_t sz = di * dj;
+      const bool zero = p.c_dense[p.c_slot[sj]] == 0;
+      double* src =
+          cpanel + c_base[sj] + wj * r0 + (a.row_offset(bj) - soff[sj]);
+      // Stage the tile at the end of the row (rolled back if dropped).
+      const std::size_t at = vals.size();
+      vals.resize(at + sz);
+      double* tile = vals.data() + at;
+      if (sp) {
+        for (std::size_t r = 0; r < 4; ++r) {
+          std::copy_n(src + wj * r, 4, tile + 4 * r);
+          if (zero) std::fill_n(src + wj * r, 4, 0.0);
+        }
+      } else {
+        for (std::size_t r = 0; r < di; ++r) {
+          std::copy_n(src + wj * r, dj, tile + dj * r);
+          if (zero) std::fill_n(src + wj * r, dj, 0.0);
+        }
+      }
+      // Scalar-granular truncation (off at the 0.0 default).
+      if (sub_tile_drop > 0.0) {
+        for (std::size_t q = 0; q < sz; ++q) {
+          if (std::fabs(tile[q]) <= sub_tile_drop) tile[q] = 0.0;
+        }
+      }
+      const double norm2 = linalg::tile_norm2_rect(di, dj, tile);
+      const bool keep = a.uniform_blocks()
+                            ? keep_tile(norm2, di, drop_tolerance)
+                            : keep_tile_rect(norm2, sz, drop_tolerance);
+      if (keep || (bj == bi && norm2 > 0.0)) {
+        cols.push_back(bj);
+      } else {
+        vals.resize(at);
+      }
+    }
+  }
+  for (std::size_t s = 0; s < p.c_cols.size(); ++s) {
+    const std::size_t sj = p.c_cols[s];
+    if (p.c_dense[s] != 0) {
+      std::fill_n(cpanel + c_base[sj], m * width(sj), 0.0);
+    }
+    p.c_slot[sj] = kNoSlot;
+  }
+  for (const std::uint32_t sk : p.a_cols) p.a_slot[sk] = kNoSlot;
 }
 
 }  // namespace
@@ -957,12 +1341,6 @@ void BsrWorkspace::shrink(const BsrShrinkPolicy& policy) {
   for (auto& r : row_vals32) {
     r.clear();
     r.shrink_to_fit();
-  }
-  for (auto& a : acc) {
-    // Sized nb * bs2 with an all-zero invariant between uses; shrinking
-    // keeps the invariant (resize-to-smaller only drops zeros).
-    if (a.size() > nb * bs2) a.resize(nb * bs2);
-    a.shrink_to_fit();
   }
   for (auto& a : acc32) {
     if (a.size() > nb * bs2) a.resize(nb * bs2);
@@ -988,6 +1366,10 @@ void BsrWorkspace::shrink(const BsrShrinkPolicy& policy) {
     adj->fill.clear();
     adj->fill.shrink_to_fit();
   }
+  // The super-tile buffers are sized by the last product; they regrow.
+  super_b = SuperTiles{};
+  panels.clear();
+  panels.shrink_to_fit();
   // Stale domain cuts would reference rows beyond the shrunk system; the
   // owner re-derives them per step anyway.
   domains.clear();
@@ -1006,7 +1388,6 @@ std::size_t BsrWorkspace::footprint_bytes() const {
   nested(row_cols);
   nested(row_vals);
   nested(row_vals32);
-  nested(acc);
   nested(acc32);
   nested(hit);
   nested(touched);
@@ -1016,6 +1397,31 @@ std::size_t BsrWorkspace::footprint_bytes() const {
     vec(adj->tile);
     vec(adj->trans);
     vec(adj->fill);
+  }
+  vec(super_b.off);
+  vec(super_b.ptr);
+  vec(super_b.col);
+  vec(super_b.val);
+  vec(super_b.vals);
+  vec(super_b.mark);
+  vec(super_b.adj.ptr);
+  vec(super_b.adj.col);
+  vec(super_b.adj.tile);
+  vec(super_b.adj.trans);
+  vec(super_b.adj.fill);
+  total += panels.capacity() * sizeof(SuperPanel);
+  for (const SuperPanel& p : panels) {
+    vec(p.a);
+    vec(p.c);
+    vec(p.t);
+    vec(p.a_slot);
+    vec(p.c_slot);
+    vec(p.a_cols);
+    vec(p.c_cols);
+    vec(p.a_off);
+    vec(p.c_base);
+    vec(p.a_mixed);
+    vec(p.c_dense);
   }
   vec(domains);
   return total;
@@ -1288,9 +1694,6 @@ void BlockSparseMatrix::multiply_sym_into(const BlockSparseMatrix& b,
                           pattern);
     return;
   }
-  const std::size_t bs2 = max_bs_ * max_bs_;  // accumulator tile stride
-  const bool var = !uniform_blocks();
-
   // Mirror-expanded adjacencies (shared when squaring).  O(stored tiles):
   // input bookkeeping, not symbolic-phase work -- the symbolic phase below
   // is the Gustavson discovery of the *output* pattern.
@@ -1305,17 +1708,16 @@ void BlockSparseMatrix::multiply_sym_into(const BlockSparseMatrix& b,
                     pat.b_fingerprint == b.pattern_fingerprint_;
 
   const auto nthreads = static_cast<std::size_t>(par::max_threads());
-  if (ws.acc.size() < nthreads) {
-    ws.acc.resize(nthreads);
+  if (ws.hit.size() < nthreads) {
     ws.hit.resize(nthreads);
     ws.touched.resize(nthreads);
   }
 
-  // Optional contiguous row-domain decomposition (ws.domains): both phases
-  // then sweep whole domains with a static round-robin so thread t owns
-  // the same rows every call (cache/NUMA affinity across purification
-  // iterations).  Per-row work is untouched, so the output is
-  // bit-identical with or without sharding at any thread count.
+  // Optional contiguous row-domain decomposition (ws.domains): the
+  // symbolic phase then sweeps whole domains with a static round-robin so
+  // thread t owns the same rows every call.  Per-row work is untouched, so
+  // the output is bit-identical with or without sharding at any thread
+  // count.
   const std::vector<std::size_t>& dom = ws.domains;
   const bool sharded =
       dom.size() > 2 && dom.front() == 0 && dom.back() == nb_;
@@ -1381,105 +1783,46 @@ void BlockSparseMatrix::multiply_sym_into(const BlockSparseMatrix& b,
   }
 
   // Numeric phase on the (frozen or just-built) pattern: identical sweep
-  // and accumulation order either way, so warm results are bit-identical
-  // to cold ones.  Truncation prunes against the pattern during the
-  // gather; the pattern itself stays frozen (it describes the un-truncated
-  // Gustavson product of the operand patterns).
+  // either way, so warm results are bit-identical to cold ones.  Truncation
+  // prunes against the pattern during the gather; the pattern itself stays
+  // frozen (it describes the un-truncated Gustavson product of the operand
+  // patterns).  One parallel region: B's dense super-tiles are packed, then
+  // super rows are handed out dynamically in order -- the upper triangle
+  // makes the first super rows the longest, so they start first.
   reset_workspace(ws, nb_);
-  // The row body lives in one always_inline lambda (per-thread accumulator
-  // passed as an argument) and each scheduling variant gets its own
-  // parallel region, so the default path's outlined function holds exactly
-  // the pre-sharding single loop -- the hot sweep's codegen cannot be
-  // perturbed by the opt-in domain branch (interleaved A/B on
-  // BM_BsrSpMMSym/216 confirms parity with the pre-sharding kernel).
-  const auto numeric_row = [&](std::size_t bi, std::vector<double>& acc)
-      __attribute__((always_inline)) {
-    const std::size_t di = row_dim(bi);
-    for (std::size_t ua = adj_a.ptr[bi]; ua < adj_a.ptr[bi + 1]; ++ua) {
-      const std::size_t bk = adj_a.col[ua];
-      const std::size_t dk = row_dim(bk);
-      const double* ta = block(adj_a.tile[ua]);
-      const bool trans_a = adj_a.trans[ua] != 0;
-      for (std::size_t ub = adj_lower_bound(adj_b, bk, bi);
-           ub < adj_b.ptr[bk + 1]; ++ub) {
-        const std::uint32_t bj = adj_b.col[ub];
-        if (var) {
-          linalg::gemm_micro_add_rect(di, dk, row_dim(bj), trans_a,
-                                      adj_b.trans[ub] != 0, ta,
-                                      b.block(adj_b.tile[ub]),
-                                      acc.data() + bs2 * bj);
-        } else {
-          linalg::gemm_micro_add_t(bs_, trans_a, adj_b.trans[ub] != 0, ta,
-                                   b.block(adj_b.tile[ub]),
-                                   acc.data() + bs2 * bj);
-        }
-      }
-    }
-    // Gather through the pattern row: it lists exactly the columns the
-    // products above touched, so the sweep also restores acc to zero.
-    auto& cols = ws.row_cols[bi];
-    auto& vals = ws.row_vals[bi];
-    const std::size_t pe = pat.row_ptr[bi + 1];
-    cols.reserve(pe - pat.row_ptr[bi]);
-    for (std::size_t pp = pat.row_ptr[bi]; pp < pe; ++pp) {
-      const std::uint32_t bj = pat.cols[pp];
-      double* tile = acc.data() + bs2 * bj;
-      // Scalar-granular truncation (off at the 0.0 default, so the
-      // historical fp64 gather is byte-for-byte unchanged when unused).
-      if (sub_tile_drop > 0.0) {
-        const std::size_t sz = di * (var ? dims_[bj] : bs_);
-        for (std::size_t q = 0; q < sz; ++q) {
-          if (std::fabs(tile[q]) <= sub_tile_drop) tile[q] = 0.0;
-        }
-      }
-      if (var) {
-        const std::size_t dj = dims_[bj];
-        const std::size_t sz = di * dj;
-        const double norm2 = linalg::tile_norm2_rect(di, dj, tile);
-        if (keep_tile_rect(norm2, sz, drop_tolerance) ||
-            (bj == bi && norm2 > 0.0)) {
-          cols.push_back(bj);
-          vals.insert(vals.end(), tile, tile + sz);
-        }
-        std::fill(tile, tile + sz, 0.0);
-      } else {
-        const double norm2 = linalg::tile_norm2(bs_, tile);
-        if (keep_tile(norm2, bs_, drop_tolerance) ||
-            (bj == bi && norm2 > 0.0)) {
-          cols.push_back(bj);
-          vals.insert(vals.end(), tile, tile + bs2);
-        }
-        std::fill(tile, tile + bs2, 0.0);
-      }
-    }
-  };
-  if (sharded) {
+  build_super_tiles(b, ws.super_b);
+  const std::vector<std::size_t>& soff = ws.super_b.off;
+  const std::size_t ns = soff.size() - 1;
+  std::size_t widest = 0;
+  for (std::size_t s = 0; s < ns; ++s) {
+    widest = std::max(widest, soff[s + 1] - soff[s]);
+  }
+  const std::size_t scratch = std::max(widest * widest, 2 * max_bs_ * max_bs_);
+  if (ws.panels.size() < nthreads) ws.panels.resize(nthreads);
 #pragma omp parallel
-    {
-      const auto tid = static_cast<std::size_t>(par::thread_id());
-      std::vector<double>& acc = ws.acc[tid];
-      if (acc.size() < nb_ * bs2) acc.assign(nb_ * bs2, 0.0);
-#pragma omp for schedule(static, 1)
-      for (std::size_t d = 0; d < dom.size() - 1; ++d) {
-        for (std::size_t bi = dom[d]; bi < dom[d + 1]; ++bi) {
-          numeric_row(bi, acc);
-        }
-      }
+  {
+    BsrWorkspace::SuperPanel& p =
+        ws.panels[static_cast<std::size_t>(par::thread_id())];
+    if (p.a_slot.size() < ns) {
+      p.a_slot.resize(ns, kNoSlot);
+      p.c_slot.resize(ns, kNoSlot);
+      p.c_base.resize(ns);
     }
-  } else {
-#pragma omp parallel
-    {
-      const auto tid = static_cast<std::size_t>(par::thread_id());
-      std::vector<double>& acc = ws.acc[tid];
-      if (acc.size() < nb_ * bs2) acc.assign(nb_ * bs2, 0.0);
-#pragma omp for schedule(dynamic, 8)
-      for (std::size_t bi = 0; bi < nb_; ++bi) numeric_row(bi, acc);
+    grow_exact(p.t, scratch);
+#pragma omp for schedule(dynamic, 1)
+    for (std::size_t sk = 0; sk < ns; ++sk) {
+      pack_super_row(b, ws.super_b, sk);
+    }
+#pragma omp for schedule(dynamic, 1)
+    for (std::size_t si = 0; si < ns; ++si) {
+      multiply_super_row(*this, b, pat, drop_tolerance, sub_tile_drop, ws, p,
+                         si);
     }
   }
-  if (var) {
-    bsr_assemble(dims_, ws, out, true);
-  } else {
+  if (uniform_blocks()) {
     bsr_assemble(n_, bs_, ws, out, true);
+  } else {
+    bsr_assemble(dims_, ws, out, true);
   }
 }
 
@@ -1624,18 +1967,18 @@ void BlockSparseMatrix::multiply_sym_f32_into(const BlockSparseMatrix& b,
              ub < adj_b.ptr[bk + 1]; ++ub) {
           const std::uint32_t bj = adj_b.col[ub];
           if (!simd) {
-            linalg::gemm_micro_add_rect_f32_ref(
+            linalg::tile_add_rect_f32_ref(
                 di, dk, row_dim(bj), trans_a, adj_b.trans[ub] != 0, ta,
                 b.block_f32(adj_b.tile[ub]), acc.data() + bs2 * bj);
           } else if (var) {
-            linalg::gemm_micro_add_rect_f32(di, dk, row_dim(bj), trans_a,
-                                            adj_b.trans[ub] != 0, ta,
-                                            b.block_f32(adj_b.tile[ub]),
-                                            acc.data() + bs2 * bj);
+            linalg::tile_add_rect_f32(di, dk, row_dim(bj), trans_a,
+                                      adj_b.trans[ub] != 0, ta,
+                                      b.block_f32(adj_b.tile[ub]),
+                                      acc.data() + bs2 * bj);
           } else {
-            linalg::gemm_micro_add_t_f32(bs_, trans_a, adj_b.trans[ub] != 0,
-                                         ta, b.block_f32(adj_b.tile[ub]),
-                                         acc.data() + bs2 * bj);
+            linalg::tile_add_t_f32(bs_, trans_a, adj_b.trans[ub] != 0, ta,
+                                   b.block_f32(adj_b.tile[ub]),
+                                   acc.data() + bs2 * bj);
           }
         }
       }

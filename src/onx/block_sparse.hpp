@@ -8,9 +8,7 @@
 /// couples through a dense 4x4 Slater-Koster block, so storing the matrix
 /// as scalar CSR pays an index + branch per *element* where one index per
 /// *tile* suffices.  BlockSparseMatrix stores, per block row, the sorted
-/// block-column indices and a dense bs x bs row-major tile each; the SpMM
-/// inner product of two tiles dispatches to the shared
-/// linalg::gemm_micro_add_t micro-kernel (fully unrolled for bs == 4).
+/// block-column indices and a dense bs x bs row-major tile each.
 ///
 /// Symmetric-half storage.  Every operand of the purification loop (H, P
 /// and its polynomials) is symmetric, so the engine stores only the upper
@@ -18,11 +16,22 @@
 /// A_JI == A_IJ^T implicit.  That halves memory and -- because
 /// the product of two commuting symmetric matrices is symmetric -- halves
 /// the SpMM flops: multiply_sym_into() computes only the upper half of
-/// C = A * B, reading lower-half operand tiles through the transposed
-/// micro-kernel (linalg::gemm_micro_add_t).  It is the only SpMM: full
-/// storage exists for conversion and inspection (from_dense, to_full,
-/// combine), not for products.  Mixed full/half algebra is rejected;
-/// to_full() / to_symmetric_half() convert explicitly.
+/// C = A * B, reading lower-half operand tiles as transposed stored tiles.
+/// It is the only SpMM: full storage exists for conversion and inspection
+/// (from_dense, to_full, combine), not for products.  Mixed full/half
+/// algebra is rejected; to_full() / to_symmetric_half() convert
+/// explicitly.
+///
+/// Super-tiles.  The fp64 numeric phase groups block rows 8 at a time into
+/// super rows (32 scalar rows for sp carbon and silicon) and runs
+/// Gustavson at super-tile granularity, in the style of DBCSR (Borstnik et
+/// al., Parallel Computing 40, 2014): super-tiles at least half full are
+/// packed dense -- zeros where atom tiles are absent -- and multiplied by
+/// one register-blocked panel kernel (linalg::gemm_panel_add); the atom
+/// tiles of sparser super-tile pairs multiply one by one through the same
+/// kernel.  Each output super row is computed by one thread with a fixed
+/// call sequence, so results do not depend on the thread count.  The fp32
+/// sweep stays on the per-tile lane-vector kernels.
 ///
 /// Pattern reuse.  multiply_sym_into() is split into a symbolic phase
 /// (Gustavson discovery of the output block pattern -- no flops) and a
@@ -53,13 +62,11 @@
 /// per-block-row dimensions: tile (I, J) is dims[I] x dims[J].  Matrices
 /// built from a dims vector store the per-row dims, the scalar row offsets
 /// and a per-tile value offset table; block_size() reports 0 in this mode
-/// and the micro-kernel dispatch falls through to the rectangular fallback
-/// (linalg::gemm_micro_add_rect).  A dims vector whose entries all agree is
-/// normalized to uniform mode on construction, so homogeneous systems --
-/// carbon, silicon -- always run the unrolled uniform fast paths and their
-/// results are unchanged by the generalization.  The truncation criterion
-/// becomes ||T||_F <= sqrt(dims[I] * dims[J]) * tol, the same RMS-entry
-/// rule the uniform criterion expresses with bs.
+/// and super-tiles are Sigma-dims wide.  A dims vector whose entries all
+/// agree is normalized to uniform mode on construction, so homogeneous
+/// systems -- carbon, silicon -- always run the uniform fast paths.  The
+/// truncation criterion becomes ||T||_F <= sqrt(dims[I] * dims[J]) * tol,
+/// the same RMS-entry rule the uniform criterion expresses with bs.
 
 #include <cstddef>
 #include <cstdint>
@@ -100,13 +107,14 @@ struct BsrPattern {
 /// otherwise grows monotonically: staging rows sized for the largest system
 /// ever processed are never released).
 struct BsrShrinkPolicy {
-  std::size_t block_rows = 0;  ///< staging rows / accumulators kept
+  std::size_t block_rows = 0;  ///< staging rows / fp32 accumulators kept
   std::size_t block_size = 4;  ///< tile edge the kept accumulators assume
 };
 
 /// Reusable scratch for BlockSparseMatrix::multiply_sym_into /
-/// combine_into: per-block-row staging buffers plus the per-thread Gustavson
-/// accumulators of the SpMM, all with capacity that survives across
+/// combine_into: per-block-row staging buffers, the packed super-tiles and
+/// per-thread panels of the fp64 SpMM and the per-thread Gustavson
+/// accumulators of the fp32 SpMM, all with capacity that survives across
 /// calls, so a persistent workspace (e.g. owned by OrderNCalculator)
 /// makes the purification loop allocation-free in steady state.
 struct BsrWorkspace {
@@ -114,12 +122,9 @@ struct BsrWorkspace {
   std::vector<std::vector<double>> row_vals;
   /// fp32 staging rows (the kF32 sweeps stage here; empty in fp64 runs).
   std::vector<std::vector<float>> row_vals32;
-  // Per-thread SpMM scratch (indexed by omp thread id).  The row sweep
-  // restores acc/hit to all-zeroes after every block row, so these only
+  // Per-thread fp32 SpMM scratch (indexed by omp thread id).  The row sweep
+  // restores acc32/hit to all-zeroes after every block row, so these only
   // need zero-filling when they grow.
-  std::vector<std::vector<double>> acc;
-  /// fp32 twin of `acc` for the kF32 numeric sweeps (same all-zero
-  /// invariant between uses).
   std::vector<std::vector<float>> acc32;
   std::vector<std::vector<std::uint8_t>> hit;
   std::vector<std::vector<std::uint32_t>> touched;
@@ -127,7 +132,8 @@ struct BsrWorkspace {
   /// Mirror-expanded adjacency of a half-stored operand (the full set of
   /// block neighbors per block row, each entry pointing at the stored
   /// upper-half tile plus a transpose flag).  Rebuilt per multiply_sym_into
-  /// call in O(stored tiles); two slots cover the C = A * B case.
+  /// call in O(stored tiles); two slots cover the C = A * B case.  The
+  /// same structure describes the super-tile pattern of SuperTiles.
   struct SymAdjacency {
     std::vector<std::size_t> ptr;      ///< nb + 1 row offsets
     std::vector<std::uint32_t> col;    ///< neighbor block column (sorted)
@@ -136,6 +142,39 @@ struct BsrWorkspace {
     std::vector<std::size_t> fill;     ///< per-row build cursors (scratch)
   };
   SymAdjacency adj_a, adj_b;
+
+  /// The right operand of the fp64 SpMM at super-tile granularity: block
+  /// rows grouped 8 at a time into super rows, a super-tile present when
+  /// any of its atom tiles is.  Super-tiles at least half full (by scalar
+  /// area) are packed dense, once per call, for the GEMM path.
+  struct SuperTiles {
+    std::vector<std::size_t> off;      ///< ns + 1 scalar super-row offsets
+    std::vector<std::size_t> ptr;      ///< ns + 1 upper super-tile offsets
+    std::vector<std::uint32_t> col;    ///< upper super-tile columns (sorted)
+    std::vector<std::size_t> val;      ///< packed offset; npos: not packed
+    std::vector<double> vals;          ///< packed super-tiles, row-major
+    std::vector<std::uint32_t> mark;   ///< per-super-column stamps (scratch)
+    SymAdjacency adj;                  ///< mirror-expanded super pattern
+  };
+  SuperTiles super_b;
+
+  /// Per-thread panels of one super row of the fp64 SpMM: A's packed
+  /// super-tiles, C's row-major super-tiles (one slot per super column
+  /// holding an output-pattern tile; all zero between super rows) and
+  /// scratch.  The per-super-column maps hold kNoSlot between super rows.
+  struct SuperPanel {
+    std::vector<double> a, c;
+    std::vector<double> t;                ///< transpose / gather scratch
+    std::vector<std::uint32_t> a_slot;    ///< super column -> A slot
+    std::vector<std::uint32_t> c_slot;    ///< super column -> C slot
+    std::vector<std::size_t> c_base;      ///< super column -> C offset
+    std::vector<std::uint32_t> a_cols;    ///< A slots' super columns
+    std::vector<std::uint32_t> c_cols;    ///< C slots' super columns
+    std::vector<std::size_t> a_off;       ///< A slot offset; npos: sparse
+    std::vector<std::uint8_t> a_mixed;    ///< A slot meets unpacked B
+    std::vector<std::uint8_t> c_dense;    ///< C slot written by the GEMM
+  };
+  std::vector<SuperPanel> panels;
 
   /// Symbolic-vs-numeric SpMM accounting (cumulative): a steady-state MD
   /// step must be all `numeric_reuses` -- the CI/tests assert warm steps
@@ -147,8 +186,9 @@ struct BsrWorkspace {
   SpmmStats stats;
 
   /// Optional contiguous block-row domain decomposition: when non-empty it
-  /// must be a monotone chunk list {0, ..., nb} and the SpMM / assembly
-  /// row sweeps iterate domain-by-domain with a `schedule(static, 1)`
+  /// must be a monotone chunk list {0, ..., nb} and the symbolic SpMM
+  /// phase, the fp32 numeric sweep and the H assembly iterate
+  /// domain-by-domain with a `schedule(static, 1)`
   /// round-robin (stable thread -> domain ownership for cache/NUMA
   /// affinity) instead of the default dynamic row chunking.  Purely a
   /// scheduling hint: per-row results are unchanged, so outputs stay
@@ -352,11 +392,12 @@ class BlockSparseMatrix {
   /// Symmetric-half product C = this * b (both operands and the result
   /// half-stored; this and b must commute so that C is symmetric).  Only
   /// the upper block triangle of C is computed -- half the flops of a
-  /// full-pattern product -- with mirrored operand tiles read through the
-  /// transposed micro-kernel.  When `pattern` is non-null the symbolic
-  /// phase is skipped whenever the operands still match the recorded
-  /// fingerprints (ws.stats counts both outcomes); the numeric sweep is
-  /// identical either way, so warm results are bit-identical to cold ones.
+  /// full-pattern product -- with mirrored operand tiles transposed on use
+  /// (fp64: the super-tile sweep of the file comment).  When `pattern` is
+  /// non-null the symbolic phase is skipped whenever the operands still
+  /// match the recorded fingerprints (ws.stats counts both outcomes); the
+  /// numeric sweep is identical either way, so warm results are
+  /// bit-identical to cold ones.
   ///
   /// Precision: operands must share the tile precision and the result
   /// inherits it.  The kF32 sweep shares the symbolic phase (patterns are
@@ -367,8 +408,8 @@ class BlockSparseMatrix {
   /// `sub_tile_drop` > 0 zeroes scalar entries of magnitude
   /// <= sub_tile_drop inside kept tiles before the Frobenius test; in half
   /// storage the implicit mirror keeps the truncation exactly symmetric.
-  /// Both knobs default to the historical behavior, so the pure-fp64 path
-  /// is untouched.
+  /// Both knobs default to the historical behavior (`simd` has no effect
+  /// on the fp64 sweep).
   void multiply_sym_into(const BlockSparseMatrix& b, double drop_tolerance,
                          BlockSparseMatrix& out, BsrWorkspace& ws,
                          BsrPattern* pattern = nullptr,

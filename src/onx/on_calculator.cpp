@@ -322,9 +322,11 @@ ForceResult OrderNCalculator::compute(const System& system) {
   workspace_.patterns.set_topology(table_.topology_version());
   if (!options_.reuse_patterns) workspace_.patterns.invalidate();
 
-  // Publish the domain cuts to the shared BSR scratch: the H assembly and
-  // every purification SpMM then sweep domain-by-domain with stable
-  // thread ownership (scheduling only -- outputs are unchanged).
+  // Publish the domain cuts to the shared BSR scratch: the H assembly, the
+  // SpMM symbolic phase and the fp32 numeric sweep then run domain-by-domain
+  // with stable thread ownership (scheduling only -- outputs are
+  // unchanged).  The fp64 numeric sweep schedules super rows and ignores
+  // them.
   if (ndom > 1) {
     workspace_.scratch.domains = part_.domain_ptr;
   } else {

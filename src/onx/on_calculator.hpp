@@ -26,8 +26,9 @@ struct OrderNOptions {
   /// exists for ablation and the bit-identity regression tests.
   bool reuse_patterns = true;
 
-  /// Contiguous block-row domains for the sharded SpMM / H-assembly
-  /// sweeps.  0 = auto: 4 domains per OpenMP thread when the team has more
+  /// Contiguous block-row domains for the sharded H assembly, SpMM
+  /// symbolic phase and fp32 SpMM sweep (the fp64 numeric sweep schedules
+  /// super rows instead).  0 = auto: 4 domains per OpenMP thread when the team has more
   /// than one thread and the system is large enough (>= 512 atoms), else
   /// off.  1 = off; >= 2 = explicit count.  Without reorder_domains this
   /// is purely a scheduling change (stable thread -> domain ownership for

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/linalg/blas.hpp"
@@ -128,22 +130,53 @@ TEST(BlockSparse, GershgorinBoundsContainSpectrum) {
   EXPECT_LE(vals.back(), hi + 1e-12);
 }
 
-TEST(BlockSparse, MicroKernelMatchesGenericPath) {
-  // The unrolled 4x4 fast path must agree with the generic loop bit-for-bit
-  // (same operation order per output element: k-major accumulation).
+TEST(PanelKernel, MatchesNaiveTripleLoop) {
+  // gemm_panel_add against the plain triple loop over the shapes the
+  // super-tile SpMM produces: atom tiles (1, 4, 9), sp / spd super-tiles
+  // (32, 36, 72) and odd remainders (3, 17).  Leading dimensions exceed the
+  // widths so the padding columns must come back untouched.  The
+  // transpose-on-use path multiplies a B stored n x k, transposed into
+  // scratch with transpose_panel first.
   Rng rng(42);
-  double a[16], b[16], c4[16] = {}, cg[16] = {};
-  for (auto& v : a) v = rng.uniform(-1, 1);
-  for (auto& v : b) v = rng.uniform(-1, 1);
-  linalg::gemm_micro_add(4, a, b, c4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < 4; ++k) s += a[4 * i + k] * b[4 * k + j];
-      cg[4 * i + j] += s;
+  const std::size_t sizes[] = {1, 3, 4, 9, 17, 32, 36, 72};
+  for (const std::size_t m : sizes) {
+    for (const std::size_t k : sizes) {
+      for (const std::size_t n : sizes) {
+        const std::size_t lda = k + 3, ldb = n + 1, ldc = n + 2;
+        std::vector<double> a(m * lda), b(k * ldb), bt(n * k);
+        for (auto& v : a) v = rng.uniform(-1, 1);
+        for (auto& v : b) v = rng.uniform(-1, 1);
+        for (std::size_t q = 0; q < k; ++q) {
+          for (std::size_t j = 0; j < n; ++j) bt[k * j + q] = b[ldb * q + j];
+        }
+        std::vector<double> ref(m * ldc);
+        for (auto& v : ref) v = rng.uniform(-1, 1);
+        std::vector<double> c = ref, ct = ref, scratch(k * n);
+        linalg::gemm_panel_add(m, k, n, a.data(), lda, b.data(), ldb,
+                               c.data(), ldc);
+        linalg::transpose_panel(n, k, bt.data(), k, scratch.data(), n);
+        linalg::gemm_panel_add(m, k, n, a.data(), lda, scratch.data(), n,
+                               ct.data(), ldc);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            double s = ref[ldc * i + j];
+            for (std::size_t q = 0; q < k; ++q) {
+              s += a[lda * i + q] * b[ldb * q + j];
+            }
+            ref[ldc * i + j] = s;
+          }
+        }
+        for (std::size_t q = 0; q < m * ldc; ++q) {
+          // Not bit-exact: FMA contraction differs between the kernel and
+          // the reference loop.  Padding entries compare exactly.
+          ASSERT_NEAR(c[q], ref[q], 1e-12)
+              << "m " << m << " k " << k << " n " << n << " q " << q;
+          ASSERT_EQ(ct[q], c[q])
+              << "m " << m << " k " << k << " n " << n << " q " << q;
+        }
+      }
     }
   }
-  for (int q = 0; q < 16; ++q) EXPECT_DOUBLE_EQ(c4[q], cg[q]) << q;
 }
 
 // --- tile truncation ------------------------------------------------------
@@ -238,42 +271,6 @@ TEST(BlockSparseSym, HalfRoundTripsOnRandomPatterns) {
   }
 }
 
-TEST(BlockSparseSym, TransposedMicroKernelMatchesGenericReference) {
-  // All four transpose combinations of gemm_micro_add_t against a plain
-  // triple-loop reference, at the unrolled bs == 4 and a generic size.
-  Rng rng(77);
-  for (const std::size_t bs : {3u, 4u}) {
-    std::vector<double> a(bs * bs), b(bs * bs);
-    for (auto& v : a) v = rng.uniform(-1, 1);
-    for (auto& v : b) v = rng.uniform(-1, 1);
-    for (const bool ta : {false, true}) {
-      for (const bool tb : {false, true}) {
-        std::vector<double> c(bs * bs, 0.5), ref(bs * bs, 0.5);
-        linalg::gemm_micro_add_t(bs, ta, tb, a.data(), b.data(), c.data());
-        for (std::size_t i = 0; i < bs; ++i) {
-          for (std::size_t j = 0; j < bs; ++j) {
-            double s = 0.0;
-            for (std::size_t k = 0; k < bs; ++k) {
-              const double av = ta ? a[bs * k + i] : a[bs * i + k];
-              const double bv = tb ? b[bs * j + k] : b[bs * k + j];
-              s += av * bv;
-            }
-            ref[bs * i + j] += s;
-          }
-        }
-        for (std::size_t q = 0; q < bs * bs; ++q) {
-          // Not bit-exact: -march=native FP contraction fuses the kernel
-          // and the reference loop differently.  Bit-reproducibility is
-          // only promised (and tested) within one kernel across the
-          // cold/warm SpMM paths.
-          EXPECT_NEAR(c[q], ref[q], 1e-12)
-              << "bs " << bs << " ta " << ta << " tb " << tb << " q " << q;
-        }
-      }
-    }
-  }
-}
-
 TEST(BlockSparseSym, MultiplySymMatchesDenseGemm) {
   // C = A * A and C = A^2 * A (commuting symmetric operands) in half
   // storage against the dense reference, across block sizes and scalar-
@@ -303,6 +300,52 @@ TEST(BlockSparseSym, MultiplySymMatchesDenseGemm) {
       EXPECT_THROW(ha.multiply_sym_into(
                        ha, 0.0, const_cast<BlockSparseMatrix&>(ha), ws),
                    Error);
+    }
+  }
+
+  // Block-row counts off the 8-row super-row grid, on block-granular random
+  // patterns: full super-tiles, super-tiles packed dense around absent atom
+  // tiles, and super-tiles too sparse to pack (atom-level products).  The
+  // output pattern must equal the tile-truncated dense product and the
+  // values agree to 1e-12 relative.
+  const auto expect_product = [](const BlockSparseMatrix& x,
+                                 const BlockSparseMatrix& y,
+                                 const linalg::Matrix& ref, std::size_t bs,
+                                 double drop, const std::string& what) {
+    BlockSparseMatrix out;
+    BsrWorkspace ws;
+    x.multiply_sym_into(y, drop, out, ws);
+    const BlockSparseMatrix want =
+        BlockSparseMatrix::from_dense(ref, bs, drop).to_symmetric_half();
+    EXPECT_EQ(out.row_ptr(), want.row_ptr()) << what;
+    EXPECT_EQ(out.cols(), want.cols()) << what;
+    const double scale = std::max(1.0, linalg::max_abs(ref));
+    EXPECT_LT(linalg::max_abs(out.to_dense() - want.to_dense()),
+              1e-12 * scale)
+        << what;
+  };
+  for (const std::size_t nb : {1u, 7u, 9u, 17u, 67u}) {
+    for (const std::size_t bs : {1u, 4u}) {
+      for (const double sparsity : {0.0, 0.3, 0.6, 0.9}) {
+        const std::size_t n = nb * bs;
+        const linalg::Matrix a = random_block_symmetric(
+            n, bs, 900 + nb + bs + static_cast<std::uint64_t>(10 * sparsity),
+            sparsity);
+        const linalg::Matrix a2 = linalg::matmul(a, a);
+        const BlockSparseMatrix ha =
+            BlockSparseMatrix::from_dense(a, bs).to_symmetric_half();
+        const BlockSparseMatrix ha2 =
+            BlockSparseMatrix::from_dense(a2, bs).to_symmetric_half();
+        for (const double drop : {0.0, 0.5}) {
+          const std::string what = "nb " + std::to_string(nb) + " bs " +
+                                   std::to_string(bs) + " sparsity " +
+                                   std::to_string(sparsity) + " drop " +
+                                   std::to_string(drop);
+          expect_product(ha, ha, a2, bs, drop, what + " A*A");
+          expect_product(ha2, ha, linalg::matmul(a2, a), bs, drop,
+                         what + " A^2*A");
+        }
+      }
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -170,6 +171,44 @@ TEST(BlockSparseVar, SymmetricHalfMultiplyMatchesFull) {
   EXPECT_TRUE(out.symmetric());
   const linalg::Matrix ref = linalg::matmul(a, a);
   EXPECT_LT(linalg::max_abs(out.to_dense() - ref), 1e-12);
+
+  // Mixed 4/1/9 layouts whose block-row counts miss the 8-row super-row
+  // grid, on patterns from full to too sparse to pack: the output pattern
+  // equals the tile-truncated dense product, values agree to 1e-12
+  // relative, for A * A and A^2 * A.
+  for (const std::size_t nb : {1u, 7u, 9u, 17u, 67u}) {
+    std::vector<std::uint32_t> var(nb);
+    for (std::size_t bi = 0; bi < nb; ++bi) var[bi] = dims[bi % dims.size()];
+    for (const double sparsity : {0.0, 0.3, 0.6, 0.9}) {
+      const linalg::Matrix x = random_var_symmetric(
+          var, 500 + nb + static_cast<std::uint64_t>(10 * sparsity), sparsity);
+      const linalg::Matrix x2 = linalg::matmul(x, x);
+      const BlockSparseMatrix hx =
+          BlockSparseMatrix::from_dense(x, var).to_symmetric_half();
+      const BlockSparseMatrix hx2 =
+          BlockSparseMatrix::from_dense(x2, var).to_symmetric_half();
+      for (const double drop : {0.0, 0.5}) {
+        const struct {
+          const BlockSparseMatrix& left;
+          linalg::Matrix ref;
+        } cases[] = {{hx, x2}, {hx2, linalg::matmul(x2, x)}};
+        for (const auto& [left, want_dense] : cases) {
+          left.multiply_sym_into(hx, drop, out, ws, nullptr);
+          const BlockSparseMatrix want =
+              BlockSparseMatrix::from_dense(want_dense, var, drop)
+                  .to_symmetric_half();
+          EXPECT_EQ(out.row_ptr(), want.row_ptr())
+              << "nb " << nb << " sparsity " << sparsity << " drop " << drop;
+          EXPECT_EQ(out.cols(), want.cols())
+              << "nb " << nb << " sparsity " << sparsity << " drop " << drop;
+          const double scale = std::max(1.0, linalg::max_abs(want_dense));
+          EXPECT_LT(linalg::max_abs(out.to_dense() - want.to_dense()),
+                    1e-12 * scale)
+              << "nb " << nb << " sparsity " << sparsity << " drop " << drop;
+        }
+      }
+    }
+  }
 }
 
 TEST(BlockSparseVar, FrozenPatternReuseIsBitIdentical) {
