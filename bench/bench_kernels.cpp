@@ -69,10 +69,15 @@ double sym_product_flops(const onx::BlockSparseMatrix& p) {
   return flops;
 }
 
+/// Achieved rate of a loop whose every iteration does `flops` useful flops.
+benchmark::Counter gflops_rate(double flops) {
+  return benchmark::Counter(flops * 1e-9,
+                            benchmark::Counter::kIsIterationInvariantRate);
+}
+
 /// Achieved SpMM rate of a warm P * P loop, from the useful flops.
 benchmark::Counter spmm_rate(const onx::BlockSparseMatrix& p) {
-  return benchmark::Counter(sym_product_flops(p) * 1e-9,
-                            benchmark::Counter::kIsIterationInvariantRate);
+  return gflops_rate(sym_product_flops(p));
 }
 
 linalg::Matrix random_symmetric(std::size_t n, std::uint64_t seed) {
@@ -132,6 +137,31 @@ void BM_BlockedTridiag(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockedTridiag)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
+void BM_ApplyQ(benchmark::State& state) {
+  // The partial-spectrum back-transform Z <- Q Z at the shape of the
+  // 200-atom open (10,0) tube of tbbench's exact_tube_edge: n = 800
+  // orbitals, m = 579 eigenpairs (occupied states plus the 2000 K Fermi
+  // tail).  Q is orthogonal, so applying it over and over keeps Z bounded.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t m = n * 579 / 800;
+  const auto fact = linalg::blocked_tridiagonalize(random_symmetric(n, 6));
+  Rng rng(7);
+  linalg::Matrix z(n, m);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < m; ++j) z(i, j) = rng.uniform(-1, 1);
+  }
+  for (auto _ : state) {
+    linalg::apply_q(fact, z);
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+  }
+  // Two panel products of 2 n m flops per reflector column: ~4 n^2 m.
+  state.counters["GFLOP/s"] = gflops_rate(4.0 * static_cast<double>(n) *
+                                          static_cast<double>(n) *
+                                          static_cast<double>(m));
+}
+BENCHMARK(BM_ApplyQ)->Arg(800)->Unit(benchmark::kMillisecond);
+
 void BM_Eigvalsh(benchmark::State& state) {
   const auto a = random_symmetric(state.range(0), 2);
   for (auto _ : state) {
@@ -146,6 +176,8 @@ void BM_Gemm(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::matmul(a, b));
   }
+  state.counters["GFLOP/s"] =
+      gflops_rate(2.0 * std::pow(static_cast<double>(state.range(0)), 3));
 }
 BENCHMARK(BM_Gemm)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
@@ -230,6 +262,12 @@ void BM_DensityMatrix(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(tb::density_matrix(eig.vectors, occ.weights));
   }
+  // Lower triangle of rho = B B^T over the occupied columns: n^2 nocc.
+  const auto nocc = static_cast<double>(
+      std::count_if(occ.weights.begin(), occ.weights.end(),
+                    [](double w) { return w > 0.0; }));
+  const auto n = static_cast<double>(state.range(0));
+  state.counters["GFLOP/s"] = gflops_rate(n * (n + 1) * nocc);
 }
 BENCHMARK(BM_DensityMatrix)->Arg(256)->Arg(864)->Unit(benchmark::kMillisecond);
 

@@ -7,9 +7,10 @@ Usage:
         [--normalize-by median | --normalize-by BM_Gemm/256 | --no-normalize]
 
 The default gated set covers the step-pipeline hot kernels: the
-eigensolvers and the blocked tridiagonal reduction inside them
+eigensolvers, the blocked tridiagonal reduction inside them
 (BM_BlockedTridiag/256, which guards the deterministic symv_lower
-partial sums), the bond-table build, the density-matrix rank-k update,
+partial sums) and their eigenvector back-transform at the 200-atom tube's
+shape (BM_ApplyQ/800), the bond-table build, the density-matrix rank-k update,
 the symmetric-half warm-pattern SpMM the purification loop runs
 (BM_BsrSpMMSym/216) and its fp32 twin BM_BsrSpMMSym_f32/216 -- the
 mixed-precision loose-phase kernel -- and the full O(N) purification step
@@ -88,7 +89,8 @@ def main():
                     help="kernel(s) to gate, optionally NAME=FRAC to give "
                          "one kernel a tighter limit than --max-regression; "
                          "default: eigensolvers, blocked tridiagonal "
-                         "reduction, bond table, density matrix, "
+                         "reduction, back-transform, bond table, density "
+                         "matrix, "
                          "symmetric-half SpMM and the full O(N) step "
                          "(BM_BandForces is recorded but ungated: too noisy "
                          "at ~40 us)")
@@ -111,7 +113,7 @@ def main():
     # non-native CI build shifts its normalized ratio more than the fp64
     # kernels'.
     specs = args.kernel or ["BM_Eigh/256", "BM_EighPartial/256",
-                            "BM_BlockedTridiag/256",
+                            "BM_BlockedTridiag/256", "BM_ApplyQ/800",
                             "BM_BondTable/216", "BM_DensityMatrix/256",
                             "BM_BsrSpMMSym/216=0.05",
                             "BM_BsrSpMMSym_f32/216", "BM_TbOnStep/216"]

@@ -10,90 +10,29 @@ namespace tbmd::linalg {
 
 namespace {
 
-/// Cache tile edge shared by every level-3 kernel.  64 doubles = 512 B per
-/// row tile; a 64x64 tile of each operand fits comfortably in L1/L2.
+/// Cache tile edge of the level-3 drivers: C is cut into kTile x kTile
+/// tiles, one task each, and every tile runs through gemm_panel_add.
 constexpr std::size_t kTile = 64;
 
-/// Block kernel, no-transpose x no-transpose: C += alpha * A * B over the
-/// tile i in [i0,i1), k in [k0,k1), j in [j0,j1).  i-k-j order: the
-/// innermost loop streams rows of B and C (axpy form).
-inline void tile_gemm_nn(std::size_t i0, std::size_t i1, std::size_t k0,
-                         std::size_t k1, std::size_t j0, std::size_t j1,
-                         double alpha, const double* a, std::size_t lda,
-                         const double* b, std::size_t ldb, double* c,
-                         std::size_t ldc) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    const double* arow = a + i * lda;
-    double* crow = c + i * ldc;
-    for (std::size_t kk = k0; kk < k1; ++kk) {
-      const double aik = alpha * arow[kk];
-      if (aik == 0.0) continue;
-      const double* brow = b + kk * ldb;
-      for (std::size_t j = j0; j < j1; ++j) crow[j] += aik * brow[j];
-    }
-  }
+/// Contraction slab: one panel product contracts at most kSlab indices, so
+/// a packed operand panel holds at most kTile x kSlab doubles per thread.
+/// Slabs run in k order into the same C tile, so every element's sum is
+/// still c + a_0 b_0 + a_1 b_1 + ... in k order.
+constexpr std::size_t kSlab = 128;
+
+/// Pack space for `per_thread` doubles per thread of a parallel region,
+/// allocated once by the calling thread: buffers allocated inside the
+/// region would land in one malloc arena per thread, each of which may keep
+/// its freed buffer resident.
+std::vector<double> pack_space(bool par, std::size_t per_thread) {
+  return std::vector<double>(
+      per_thread * static_cast<std::size_t>(par ? par::max_threads() : 1));
 }
 
-/// Block kernel, no-transpose x transpose: C += alpha * A * B^T over the
-/// tile i in [i0,i1), j in [j0,j1), contraction index in [k0,k1).  Both
-/// operand rows are contiguous, so the inner loops are plain dot products;
-/// two j-columns per pass share the A-row loads.  When `lower` the j range
-/// of each row is clipped to j <= i (the symmetric-kernel case).
-inline void tile_gemm_nt(std::size_t i0, std::size_t i1, std::size_t j0,
-                         std::size_t j1, std::size_t k0, std::size_t k1,
-                         bool lower, double alpha, const double* a,
-                         std::size_t lda, const double* b, std::size_t ldb,
-                         double* c, std::size_t ldc) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    const double* ai = a + i * lda;
-    double* crow = c + i * ldc;
-    const std::size_t jend = lower ? std::min(j1, i + 1) : j1;
-    std::size_t j = j0;
-    for (; j + 1 < jend; j += 2) {
-      const double* bj0 = b + j * ldb;
-      const double* bj1 = bj0 + ldb;
-      double s0 = 0.0, s1 = 0.0;
-      for (std::size_t kk = k0; kk < k1; ++kk) {
-        s0 += ai[kk] * bj0[kk];
-        s1 += ai[kk] * bj1[kk];
-      }
-      crow[j] += alpha * s0;
-      crow[j + 1] += alpha * s1;
-    }
-    for (; j < jend; ++j) {
-      const double* bj = b + j * ldb;
-      double s = 0.0;
-      for (std::size_t kk = k0; kk < k1; ++kk) s += ai[kk] * bj[kk];
-      crow[j] += alpha * s;
-    }
-  }
-}
-
-/// Fused rank-2 variant of tile_gemm_nt: C += alpha * (A * B^T + B * A^T)
-/// over the tile, accumulating both products in one pass so the C tile is
-/// read and written once (splitting into two NT passes doubles the C
-/// traffic and measurably slows the tridiagonalization trailing update).
-inline void tile_gemm_nt2(std::size_t i0, std::size_t i1, std::size_t j0,
-                          std::size_t j1, std::size_t k0, std::size_t k1,
-                          bool lower, double alpha, const double* a,
-                          std::size_t lda, const double* b, std::size_t ldb,
-                          double* c, std::size_t ldc) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    const double* ai = a + i * lda;
-    const double* bi = b + i * ldb;
-    double* crow = c + i * ldc;
-    const std::size_t jend = lower ? std::min(j1, i + 1) : j1;
-    for (std::size_t j = j0; j < jend; ++j) {
-      const double* aj = a + j * lda;
-      const double* bj = b + j * ldb;
-      double s = 0.0;
-      for (std::size_t kk = k0; kk < k1; ++kk) {
-        s += ai[kk] * bj[kk] + bi[kk] * aj[kk];
-      }
-      crow[j] += alpha * s;
-    }
-  }
-}
+/// Row band of a diagonal tile: the band's columns left of its diagonal
+/// block go straight into C, the kBand x kBand diagonal block goes through
+/// a scratch tile whose strict upper triangle is dropped.
+constexpr std::size_t kBand = 16;
 
 /// Unflatten a lower-triangle tile-pair index t into (ti, tj), tj <= ti,
 /// with t = ti * (ti + 1) / 2 + tj.
@@ -105,32 +44,72 @@ inline void unflatten_tile_pair(std::size_t t, std::size_t& ti,
   tj = t - ti * (ti + 1) / 2;
 }
 
-/// Shared driver of syrk_lower / syr2k_lower: walk lower-triangle tile
-/// pairs in parallel and run the NT block kernel once (syrk) or twice with
-/// swapped operands (syr2k) per k-slab.
-template <bool Rank2>
-void rank_k_lower(std::size_t n, std::size_t k, double alpha, const double* a,
-                  std::size_t lda, const double* b, std::size_t ldb, double* c,
-                  std::size_t ldc) {
-  if (n == 0 || k == 0 || alpha == 0.0) return;
+/// Shared driver of syrk_lower / syr2k_lower: one panel product per
+/// lower-triangle tile pair (I, J) and contraction slab,
+///   C_IJ += X_I * (alpha Y_J)^T,   X = [A B],  Y = [B A],
+/// over the first kk of the 2k concatenated columns: kk = 2k is the rank-2k
+/// update in one product (each C tile read and written once), kk = k with
+/// B = A is syrk.  X_I and alpha Y_J^T are packed per task into per-thread
+/// buffers of kTile x kSlab.  Each C element belongs to exactly one task and
+/// sums its whole contraction in order, so the result does not depend on
+/// the thread count.
+void rank_k_lower(std::size_t n, std::size_t k, std::size_t kk, double alpha,
+                  const double* a, std::size_t lda, const double* b,
+                  std::size_t ldb, double* c, std::size_t ldc) {
+  if (n == 0 || kk == 0 || alpha == 0.0) return;
+  const auto x = [&](std::size_t i, std::size_t q) {
+    return q < k ? a[lda * i + q] : b[ldb * i + q - k];
+  };
+  const auto y = [&](std::size_t i, std::size_t q) {
+    return q < k ? b[ldb * i + q] : a[lda * i + q - k];
+  };
   const std::size_t nt = (n + kTile - 1) / kTile;
   const std::size_t npairs = nt * (nt + 1) / 2;
-  [[maybe_unused]] const bool par = par::worth_parallelizing(n * n / 2, k);
-#pragma omp parallel for schedule(dynamic) if (par)
-  for (std::size_t t = 0; t < npairs; ++t) {
-    std::size_t ti, tj;
-    unflatten_tile_pair(t, ti, tj);
-    const std::size_t i0 = ti * kTile, i1 = std::min(i0 + kTile, n);
-    const std::size_t j0 = tj * kTile, j1 = std::min(j0 + kTile, n);
-    const bool lower = ti == tj;  // diagonal tiles clip to j <= i
-    for (std::size_t k0 = 0; k0 < k; k0 += kTile) {
-      const std::size_t k1 = std::min(k0 + kTile, k);
-      if constexpr (Rank2) {
-        tile_gemm_nt2(i0, i1, j0, j1, k0, k1, lower, alpha, a, lda, b, ldb, c,
-                      ldc);
-      } else {
-        tile_gemm_nt(i0, i1, j0, j1, k0, k1, lower, alpha, a, lda, b, ldb, c,
-                     ldc);
+  const std::size_t slab = std::min(kk, kSlab);
+  const bool par = par::worth_parallelizing(n * n / 2, kk);
+  std::vector<double> pack = pack_space(par, 2 * kTile * slab);
+#pragma omp parallel if (par)
+  {
+    double* xp = pack.data() + 2 * kTile * slab *
+                                   static_cast<std::size_t>(par::thread_id());
+    double* yt = xp + kTile * slab;
+    double diag[kBand * kBand] = {};
+#pragma omp for schedule(dynamic)
+    for (std::size_t t = 0; t < npairs; ++t) {
+      std::size_t ti, tj;
+      unflatten_tile_pair(t, ti, tj);
+      const std::size_t i0 = ti * kTile, mi = std::min(kTile, n - i0);
+      const std::size_t j0 = tj * kTile, nj = std::min(kTile, n - j0);
+      for (std::size_t q0 = 0; q0 < kk; q0 += slab) {
+        const std::size_t ks = std::min(slab, kk - q0);
+        for (std::size_t i = 0; i < mi; ++i) {
+          for (std::size_t q = 0; q < ks; ++q) xp[ks * i + q] = x(i0 + i, q0 + q);
+        }
+        for (std::size_t j = 0; j < nj; ++j) {
+          for (std::size_t q = 0; q < ks; ++q) {
+            yt[nj * q + j] = alpha * y(j0 + j, q0 + q);
+          }
+        }
+        double* ct = c + ldc * i0 + j0;
+        if (ti != tj) {
+          gemm_panel_add(mi, ks, nj, xp, ks, yt, nj, ct, ldc);
+          continue;
+        }
+        for (std::size_t r0 = 0; r0 < mi; r0 += kBand) {
+          const std::size_t bm = std::min(kBand, mi - r0);
+          const double* xr = xp + ks * r0;
+          double* cr = ct + ldc * r0;
+          gemm_panel_add(bm, ks, r0, xr, ks, yt, nj, cr, ldc);
+          for (std::size_t i = 0; i < bm; ++i) {
+            for (std::size_t j = 0; j < bm; ++j) {
+              diag[bm * i + j] = j <= i ? cr[ldc * i + r0 + j] : 0.0;
+            }
+          }
+          gemm_panel_add(bm, ks, bm, xr, ks, yt + r0, nj, diag, bm);
+          for (std::size_t i = 0; i < bm; ++i) {
+            for (std::size_t j = 0; j <= i; ++j) cr[ldc * i + r0 + j] = diag[bm * i + j];
+          }
+        }
       }
     }
   }
@@ -171,16 +150,29 @@ void gemm_accumulate(double alpha, const Matrix& a, const Matrix& b,
   const std::size_t n = b.cols();
   TBMD_REQUIRE(b.rows() == k, "gemm: inner dimensions differ");
   TBMD_REQUIRE(c.rows() == m && c.cols() == n, "gemm: C has wrong shape");
+  if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
 
-#pragma omp parallel for schedule(static) if (m * n * k > 100000)
-  for (std::size_t i0 = 0; i0 < m; i0 += kTile) {
-    const std::size_t i1 = std::min(i0 + kTile, m);
-    for (std::size_t k0 = 0; k0 < k; k0 += kTile) {
-      const std::size_t k1 = std::min(k0 + kTile, k);
-      for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
-        const std::size_t j1 = std::min(j0 + kTile, n);
-        tile_gemm_nn(i0, i1, k0, k1, j0, j1, alpha, a.data(), k, b.data(), n,
-                     c.data(), n);
+  // One task per kTile x kTile tile of C; alpha * A is packed per slab.
+  const std::size_t mt = (m + kTile - 1) / kTile;
+  const std::size_t nt = (n + kTile - 1) / kTile;
+  const bool par = m * n * k > 100000;
+  std::vector<double> pack = pack_space(par, kTile * std::min(k, kSlab));
+#pragma omp parallel if (par)
+  {
+    double* ap = pack.data() + kTile * std::min(k, kSlab) *
+                                   static_cast<std::size_t>(par::thread_id());
+#pragma omp for schedule(static)
+    for (std::size_t t = 0; t < mt * nt; ++t) {
+      const std::size_t i0 = t / nt * kTile, mi = std::min(kTile, m - i0);
+      const std::size_t j0 = t % nt * kTile, nj = std::min(kTile, n - j0);
+      for (std::size_t q0 = 0; q0 < k; q0 += kSlab) {
+        const std::size_t ks = std::min(kSlab, k - q0);
+        for (std::size_t i = 0; i < mi; ++i) {
+          const double* ai = a.row(i0 + i) + q0;
+          for (std::size_t q = 0; q < ks; ++q) ap[ks * i + q] = alpha * ai[q];
+        }
+        gemm_panel_add(mi, ks, nj, ap, ks, b.row(q0) + j0, n,
+                       c.row(i0) + j0, n);
       }
     }
   }
@@ -194,13 +186,13 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 
 void syrk_lower(std::size_t n, std::size_t k, double alpha, const double* a,
                 std::size_t lda, double* c, std::size_t ldc) {
-  rank_k_lower<false>(n, k, alpha, a, lda, a, lda, c, ldc);
+  rank_k_lower(n, k, k, alpha, a, lda, a, lda, c, ldc);
 }
 
 void syr2k_lower(std::size_t n, std::size_t k, double alpha, const double* a,
                  std::size_t lda, const double* b, std::size_t ldb, double* c,
                  std::size_t ldc) {
-  rank_k_lower<true>(n, k, alpha, a, lda, b, ldb, c, ldc);
+  rank_k_lower(n, k, 2 * k, alpha, a, lda, b, ldb, c, ldc);
 }
 
 void gemm_panel_add(std::size_t m, std::size_t k, std::size_t n,

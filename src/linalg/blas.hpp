@@ -7,8 +7,13 @@
 /// GEMM for general products, SYRK/SYR2K rank-k updates for the density
 /// matrix (rho = B B^T) and the blocked tridiagonalization's trailing
 /// update, GEMV/SYMV for iterative methods, and a handful of level-1
-/// helpers.  All level-3 kernels share the same cache tiling (see blas.cpp);
-/// the symmetric kernels compute only the lower triangle and mirror.
+/// helpers.  Every level-3 product runs on one register-blocked kernel,
+/// gemm_panel_add: the drivers in blas.cpp cut C into 64 x 64 tiles, pack
+/// per tile the operand panels the kernel needs (per-thread buffers of at
+/// most 2 x 64 x 128 doubles), and never split a contraction across threads,
+/// so results do not depend on the thread count.  The symmetric kernels
+/// compute only the lower triangle (diagonal tiles through a scratch
+/// block) and mirror.
 
 #include <cstddef>
 #include <vector>
@@ -49,11 +54,13 @@ void syr2k_lower(std::size_t n, std::size_t k, double alpha, const double* a,
 
 /// Dense panel product C += A * B with A m x k, B k x n and C m x n, all
 /// row-major with leading dimensions lda / ldb / ldc.  The kernel of the
-/// super-tile SpMM in src/onx: a register-blocked body (a block of C rows
-/// times two SIMD vectors of C columns held in registers across the whole
-/// k loop) plus narrower remainder blocks, so any (m, k, n) runs -- the
-/// 32 x 32 sp super-tiles, the Sigma-dims super-tiles of mixed layouts and
-/// single atom tiles alike.  Per output element the sum is
+/// super-tile SpMM in src/onx and of every dense level-3 product (GEMM,
+/// SYRK/SYR2K, the WY back-transform apply_q): a register-blocked body (a
+/// block of C rows times two SIMD vectors of C columns held in registers
+/// across the whole k loop) plus narrower remainder blocks, so any
+/// (m, k, n) runs -- the 32 x 32 sp super-tiles, the Sigma-dims super-tiles
+/// of mixed layouts, single atom tiles and the dense drivers' 64-wide tiles
+/// alike.  Per output element the sum is
 /// c + a_0 b_0 + a_1 b_1 + ... in k order on every path, so a fixed call
 /// sequence is bit-reproducible.  Out of line on purpose:
 /// bench/check_simd_codegen.sh disassembles this symbol and requires packed

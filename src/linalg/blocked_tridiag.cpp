@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/linalg/blas.hpp"
+#include "src/linalg/panel_kernel.hpp"
 #include "src/util/error.hpp"
 #include "src/util/parallel.hpp"
 
@@ -11,14 +12,19 @@ namespace tbmd::linalg {
 
 namespace {
 
-/// Minimum trailing dimension before the symv / rank-2k loops fork threads.
+/// Minimum trailing dimension before the symv and row-sweep loops fork
+/// threads.
 constexpr std::size_t kParallelCutoff = 128;
 
 /// y = A_sym * v for the trailing submatrix rows/cols [lo, n), reading only
-/// the lower triangle of `a`.  Streams each row once (every stored element
-/// is used for both its (i,j) and (j,i) role), so the kernel runs at memory
-/// bandwidth.  `v` and `y` are full-length buffers; entries outside [lo, n)
-/// are ignored / left untouched.
+/// the lower triangle of `a`, plus the panel products vw = W^T v (first jj
+/// entries of `vwv`) and vv = V^T v (next jj), V = a(lo:n, p:p+jj) and
+/// W = w(lo:n, 0:jj): the sums blocked_tridiagonalize needs to fold the
+/// panel's pending updates into A v.  Streams each row once (every stored
+/// element is used for both its (i,j) and (j,i) role, and the row's panel
+/// entries sit next to it), so the kernel runs at memory bandwidth.  `v`
+/// and `y` are full-length buffers; entries outside [lo, n) are ignored /
+/// left untouched.
 ///
 /// Parallel sweep: one static row range per thread, range t of T being
 /// [lo + len * sqrt(t / T), lo + len * sqrt((t + 1) / T)) -- row i costs
@@ -29,27 +35,64 @@ constexpr std::size_t kParallelCutoff = 128;
 /// reduction would combine the per-thread copies in whatever order the
 /// threads finish).  Summing after the region keeps the sweep at one
 /// barrier per call, which matters when a busy host deschedules threads.
-void symv_lower(const Matrix& a, std::size_t lo, const double* v, double* y,
-                std::vector<double>& partials) {
+void symv_lower(const Matrix& a, const Matrix& w, std::size_t p,
+                std::size_t jj, std::size_t lo, const double* v, double* y,
+                double* vwv, std::vector<double>& partials) {
   const std::size_t n = a.rows();
   const std::size_t len = n - lo;
-  // Rows [begin, end) of the product, accumulated into acc[k - lo].
-  const auto sweep = [&](std::size_t begin, std::size_t end, double* acc) {
+  // Rows [begin, end) of the product, accumulated into acc[k - lo], then
+  // the panel products into pan[0, 2 jj).  Row i's dot product runs in two
+  // interleaved vector partial sums: a single scalar chain waits out the
+  // FMA latency on every element (37 vs 21 ms per 800 x 800 reduction at
+  // 4 threads), and the fixed order keeps the sum reproducible.
+  using V = detail::PanelVec<detail::kPanelLanes>::type;
+  constexpr std::size_t L = detail::kPanelLanes;
+  const auto sweep = [&](std::size_t begin, std::size_t end, double* acc,
+                         double* pan) {
     for (std::size_t i = begin; i < end; ++i) {
       const double* row = a.row(i);
       const double vi = v[i];
+      const V viv = V{} + vi;
+      V s0 = {}, s1 = {};
+      std::size_t k = lo;
+      for (; k + 2 * L <= i; k += 2 * L) {
+        V r0, r1, v0, v1, a0, a1;
+        __builtin_memcpy(&r0, row + k, sizeof(V));
+        __builtin_memcpy(&r1, row + k + L, sizeof(V));
+        __builtin_memcpy(&v0, v + k, sizeof(V));
+        __builtin_memcpy(&v1, v + k + L, sizeof(V));
+        __builtin_memcpy(&a0, acc + k - lo, sizeof(V));
+        __builtin_memcpy(&a1, acc + k - lo + L, sizeof(V));
+        s0 += r0 * v0;
+        s1 += r1 * v1;
+        a0 += r0 * viv;
+        a1 += r1 * viv;
+        __builtin_memcpy(acc + k - lo, &a0, sizeof(V));
+        __builtin_memcpy(acc + k - lo + L, &a1, sizeof(V));
+      }
       double s = row[i] * vi;
-      for (std::size_t k = lo; k < i; ++k) {
+      for (; k < i; ++k) {
         s += row[k] * v[k];
         acc[k - lo] += row[k] * vi;
       }
+      s0 += s1;
+      for (std::size_t q = 0; q < L; ++q) s += s0[q];
       acc[i - lo] += s;
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      const double* vp = a.row(i) + p;
+      const double* wi = w.row(i);
+      for (std::size_t c = 0; c < jj; ++c) {
+        pan[c] += wi[c] * v[i];
+        pan[jj + c] += vp[c] * v[i];
+      }
     }
   };
   const int threads = len >= kParallelCutoff ? par::max_threads() : 1;
   if (threads == 1) {
     std::fill(y + lo, y + n, 0.0);
-    sweep(lo, n, y + lo);
+    std::fill(vwv, vwv + 2 * jj, 0.0);
+    sweep(lo, n, y + lo, vwv);
     return;
   }
   const auto nt = static_cast<std::size_t>(threads);
@@ -60,21 +103,25 @@ void symv_lower(const Matrix& a, std::size_t lo, const double* v, double* y,
                     std::sqrt(static_cast<double>(t) /
                               static_cast<double>(nt)));
   };
-  if (partials.size() < nt * len) partials.resize(nt * len);
+  // Slice t: [panel products (2 jj) | symv rows (len)].
+  const std::size_t stride = 2 * jj + len;
+  if (partials.size() < nt * stride) partials.resize(nt * stride);
   // Range t only writes rows below bound(t + 1), so only that prefix of
   // its slice is zeroed and summed.  The loop form stays correct if the
   // runtime grants fewer threads than requested (e.g. a nested call).
 #pragma omp parallel for schedule(static, 1) num_threads(threads)
   for (std::size_t t = 0; t < nt; ++t) {
-    double* part = partials.data() + t * len;
-    std::fill(part, part + (bound(t + 1) - lo), 0.0);
-    sweep(bound(t), bound(t + 1), part);
+    double* part = partials.data() + t * stride;
+    std::fill(part, part + 2 * jj + (bound(t + 1) - lo), 0.0);
+    sweep(bound(t), bound(t + 1), part + 2 * jj, part);
   }
   std::fill(y + lo, y + n, 0.0);
+  std::fill(vwv, vwv + 2 * jj, 0.0);
   for (std::size_t t = 0; t < nt; ++t) {
-    const double* part = partials.data() + t * len;
+    const double* part = partials.data() + t * stride;
+    for (std::size_t c = 0; c < 2 * jj; ++c) vwv[c] += part[c];
     const std::size_t end = bound(t + 1) - lo;
-    for (std::size_t k = 0; k < end; ++k) y[lo + k] += part[k];
+    for (std::size_t k = 0; k < end; ++k) y[lo + k] += part[2 * jj + k];
   }
 }
 
@@ -103,9 +150,9 @@ TridiagFactorization blocked_tridiagonalize(const Matrix& a,
 
   Matrix w(n, nb, 0.0);             // accumulated couplings W for the panel
   std::vector<double> v(n, 0.0);    // contiguous copy of the current reflector
-  std::vector<double> y(n, 0.0);    // symv result / scratch
+  std::vector<double> y(n, 0.0);    // symv result
   std::vector<double> symv_partials;  // per-thread symv slices
-  std::vector<double> vrow(nb), wrow(nb), tmp1(nb), tmp2(nb);
+  std::vector<double> vwv(2 * nb), vrow(nb), wrow(nb);
 
   for (std::size_t p = 0; p < nrefl; p += nb) {
     const std::size_t pw = std::min(nb, nrefl - p);
@@ -113,24 +160,8 @@ TridiagFactorization blocked_tridiagonalize(const Matrix& a,
 
     for (std::size_t jj = 0; jj < pw; ++jj) {
       const std::size_t j = p + jj;
-
-      // Apply the panel's pending rank-2 updates to column j (rows j..n-1):
-      // a(:, j) -= V W(j, :)^T + W V(j, :)^T.
-      if (jj > 0) {
-        for (std::size_t c = 0; c < jj; ++c) {
-          vrow[c] = r(j, p + c);
-          wrow[c] = w(j, c);
-        }
-        for (std::size_t i = j; i < n; ++i) {
-          const double* ri = r.row(i);
-          const double* wi = w.row(i);
-          double s = r(i, j);
-          for (std::size_t c = 0; c < jj; ++c) {
-            s -= ri[p + c] * wrow[c] + wi[c] * vrow[c];
-          }
-          r(i, j) = s;
-        }
-      }
+      // Column j already carries the panel's pending rank-2 updates (the
+      // previous column's row sweep below applied them).
       f.d[j] = r(j, j);
 
       // Generate the Householder reflector annihilating a(j+2:n, j).
@@ -153,46 +184,61 @@ TridiagFactorization blocked_tridiagonalize(const Matrix& a,
       }
 
       // W(:, jj) = tau * (A_j v - 0.5 tau (v^T A_j v) v), where A_j is the
-      // trailing matrix with the panel's pending updates folded in through
-      // the V/W correction terms (stored entries are pre-update).
-      for (std::size_t i = j + 1; i < n; ++i) v[i] = r(i, j);
-      symv_lower(r, j + 1, v.data(), y.data(), symv_partials);
-      if (jj > 0) {
-        for (std::size_t c = 0; c < jj; ++c) {
-          double s1 = 0.0, s2 = 0.0;
-          for (std::size_t i = j + 1; i < n; ++i) {
-            s1 += w(i, c) * v[i];
-            s2 += r(i, p + c) * v[i];
-          }
-          tmp1[c] = s1;
-          tmp2[c] = s2;
-        }
-        for (std::size_t i = j + 1; i < n; ++i) {
-          const double* ri = r.row(i);
-          const double* wi = w.row(i);
-          double s = y[i];
-          for (std::size_t c = 0; c < jj; ++c) {
-            s -= ri[p + c] * tmp1[c] + wi[c] * tmp2[c];
-          }
-          y[i] = s;
-        }
-      }
-      const double tau = f.tau[j];
+      // trailing matrix with the panel's pending updates folded in:
+      // A_j v = y - V (W^T v) - W (V^T v) with y = A v on the stored
+      // (pre-update) entries, so v^T A_j v = v^T y - 2 (W^T v).(V^T v).
+      const std::size_t lo = j + 1;
+      for (std::size_t i = lo; i < n; ++i) v[i] = r(i, j);
+      symv_lower(r, w, p, jj, lo, v.data(), y.data(), vwv.data(),
+                 symv_partials);
+      const double* vw = vwv.data();
+      const double* vv = vw + jj;
       double vy = 0.0;
-      for (std::size_t i = j + 1; i < n; ++i) {
-        y[i] *= tau;
-        vy += y[i] * v[i];
+      for (std::size_t i = lo; i < n; ++i) vy += v[i] * y[i];
+      for (std::size_t c = 0; c < jj; ++c) vy -= 2.0 * vw[c] * vv[c];
+      const double tau = f.tau[j];
+      const double corr = -0.5 * tau * tau * vy;
+      const auto w_row = [&](std::size_t i) {
+        const double* ri = r.row(i) + p;
+        const double* wi = w.row(i);
+        double s = y[i];
+        for (std::size_t c = 0; c < jj; ++c) s -= ri[c] * vw[c] + wi[c] * vv[c];
+        w(i, jj) = tau * s + corr * v[i];
+      };
+
+      // One row sweep writes W(:, jj) and, while column j+1 is still in
+      // the panel, applies its pending updates (rows j+1..n-1):
+      // a(:, j+1) -= V W(j+1, :)^T + W V(j+1, :)^T over columns 0..jj.
+      // Rows are independent; row j+1 of W goes first because every row's
+      // update reads it.
+      const bool next = jj + 1 < pw;
+      if (next) {
+        w_row(lo);
+        for (std::size_t c = 0; c <= jj; ++c) {
+          vrow[c] = r(lo, p + c);
+          wrow[c] = w(lo, c);
+        }
       }
-      const double corr = -0.5 * tau * vy;
-      for (std::size_t i = j + 1; i < n; ++i) {
-        w(i, jj) = y[i] + corr * v[i];
+      [[maybe_unused]] const bool par = n - lo >= kParallelCutoff;
+#pragma omp parallel for schedule(static) if (par)
+      for (std::size_t i = lo; i < n; ++i) {
+        if (i > lo || !next) w_row(i);
+        if (!next) continue;
+        const double* ri = r.row(i) + p;
+        const double* wi = w.row(i);
+        double s = ri[jj + 1];
+        for (std::size_t c = 0; c <= jj; ++c) {
+          s -= ri[c] * wrow[c] + wi[c] * vrow[c];
+        }
+        r(i, j + 1) = s;
       }
     }
 
     // Deferred symmetric rank-2k trailing update (the level-3 bulk):
-    // A(q:, q:) -= V W^T + W V^T on the lower triangle, q = p + pw, done by
-    // the shared blas rank-2k tile kernel on the in-place submatrix views
-    // V = r(q:, p:p+pw), W = w(q:, 0:pw), C = r(q:, q:).
+    // A(q:, q:) -= V W^T + W V^T on the lower triangle, q = p + pw: one
+    // panel product of contraction length 2 pw per tile of C, on the
+    // in-place submatrix views V = r(q:, p:p+pw), W = w(q:, 0:pw),
+    // C = r(q:, q:).
     const std::size_t q0 = p + pw;
     syr2k_lower(n - q0, pw, -1.0, r.row(q0) + p, n, w.row(q0), nb,
                 r.row(q0) + q0, n);
@@ -215,94 +261,69 @@ void apply_q(const TridiagFactorization& f, Matrix& z) {
   const std::size_t nrefl = n - 2;
   constexpr std::size_t kNb = 32;
 
-  Matrix t(kNb, kNb, 0.0);   // triangular factor of the WY block
-  Matrix w1(kNb, m, 0.0);    // V^T Z, then T * (V^T Z)
-  std::vector<double> s(kNb);
+  Matrix t(kNb, kNb, 0.0);          // triangular factor of the WY block
+  std::vector<double> g(kNb * kNb);  // V^T (-V)
+  // The block's V^T and -V over rows p+1 .. n-1, zeros at and above each
+  // unit diagonal made explicit.
+  std::vector<double> vt(kNb * n), negv(n * kNb);
+  Matrix w1(kNb, m), tw1(kNb, m);   // V^T Z and T (V^T Z)
 
   // Q = B_0 B_1 ... B_L with forward-columnwise blocks B = I - V T V^T;
   // Q Z applies the blocks in reverse order.
   const std::size_t nblocks = (nrefl + kNb - 1) / kNb;
+  [[maybe_unused]] const bool par =
+      par::max_threads() > 1 && n * m >= 64 * kParallelCutoff;
   for (std::size_t blk = nblocks; blk-- > 0;) {
     const std::size_t p = blk * kNb;
     const std::size_t pw = std::min(kNb, nrefl - p);
+    const std::size_t rows = n - p - 1;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const double* ri = r.row(p + 1 + i) + p;
+      for (std::size_t c = 0; c < pw; ++c) {
+        const double v = c <= i ? ri[c] : 0.0;  // v_c starts at row p+c+1
+        vt[rows * c + i] = v;
+        negv[pw * i + c] = -v;
+      }
+    }
 
     // T factor (LARFT, forward columnwise): T(c,c) = tau_c,
-    // T(0:c, c) = -tau_c T(0:c, 0:c) (V^T v_c)(0:c).  v_c is zero at and
-    // above row p+c, so the dot products only run over rows p+c+1 .. n-1.
+    // T(0:c, c) = -tau_c T(0:c, 0:c) (V^T v_c)(0:c) = tau_c T G(0:c, c).
+    std::fill(g.begin(), g.end(), 0.0);
+    gemm_panel_add(pw, rows, pw, vt.data(), rows, negv.data(), pw, g.data(),
+                   pw);
     for (std::size_t c = 0; c < pw; ++c) {
       const double tau_c = f.tau[p + c];
       for (std::size_t b = 0; b < c; ++b) {
-        double dotv = 0.0;
-        for (std::size_t i = p + c + 1; i < n; ++i) {
-          dotv += r(i, p + b) * r(i, p + c);
-        }
-        s[b] = dotv;
-      }
-      for (std::size_t b = 0; b < c; ++b) {
         double acc = 0.0;
-        for (std::size_t k = b; k < c; ++k) acc += t(b, k) * s[k];
-        t(b, c) = -tau_c * acc;
+        for (std::size_t k = b; k < c; ++k) acc += t(b, k) * g[pw * k + c];
+        t(b, c) = tau_c * acc;
       }
       t(c, c) = tau_c;
     }
 
-    // W1 = V^T Z over rows p+1 .. n-1, streamed row-by-row; parallel over
-    // column tiles of Z so each thread owns its W1 slice (no reduction).
-    for (std::size_t c = 0; c < pw; ++c) {
-      double* w1c = w1.row(c);
-      for (std::size_t q = 0; q < m; ++q) w1c[q] = 0.0;
-    }
-    [[maybe_unused]] const bool par =
-        par::max_threads() > 1 && n * m >= 64 * kParallelCutoff;
+    // Z -= V (T (V^T Z)) as three panel products.  Each thread owns one
+    // column slice of W1, TW1 and Z, so the slices need no barrier and no
+    // reduction, and the contraction is never split: Z comes out
+    // bit-identical at any thread count.  Slice edges fall on multiples of
+    // 16, a whole number of the panel kernel's column strips on every
+    // target.
 #pragma omp parallel if (par)
     {
-      const int tid = par::thread_id();
-      const int tcount = par::team_size();
-      const std::size_t q_lo = m * static_cast<std::size_t>(tid) /
-                               static_cast<std::size_t>(tcount);
-      const std::size_t q_hi = m * (static_cast<std::size_t>(tid) + 1) /
-                               static_cast<std::size_t>(tcount);
-      for (std::size_t i = p + 1; i < n; ++i) {
-        const double* ri = r.row(i);
-        const double* zi = z.row(i);
-        const std::size_t c_hi = std::min(pw, i - p);  // valid c: p+c+1 <= i
-        for (std::size_t c = 0; c < c_hi; ++c) {
-          const double coeff = ri[p + c];
-          if (coeff == 0.0) continue;
-          double* w1c = w1.row(c);
-          for (std::size_t q = q_lo; q < q_hi; ++q) w1c[q] += coeff * zi[q];
-        }
+      const std::size_t tid = static_cast<std::size_t>(par::thread_id());
+      const std::size_t team = static_cast<std::size_t>(par::team_size());
+      const std::size_t q_lo = m * tid / team / 16 * 16;
+      const std::size_t q_hi = tid + 1 == team ? m : m * (tid + 1) / team / 16 * 16;
+      const std::size_t mq = q_hi - q_lo;
+      for (std::size_t c = 0; c < pw; ++c) {
+        std::fill(w1.row(c) + q_lo, w1.row(c) + q_hi, 0.0);
+        std::fill(tw1.row(c) + q_lo, tw1.row(c) + q_hi, 0.0);
       }
-#pragma omp barrier
-      // W1 <- T * W1 (T upper triangular): done by thread 0's slice only in
-      // serial fallback; under OpenMP each thread transforms its own tile.
-      for (std::size_t b = 0; b < pw; ++b) {
-        double* w1b = w1.row(b);
-        for (std::size_t q = q_lo; q < q_hi; ++q) {
-          double acc = t(b, b) * w1b[q];
-          for (std::size_t c = b + 1; c < pw; ++c) {
-            acc += t(b, c) * w1.row(c)[q];
-          }
-          w1b[q] = acc;
-        }
-      }
-    }
-    // The in-place triangular multiply above reads rows c > b while
-    // overwriting row b; since T is upper triangular and b increases, rows
-    // c > b are still untransformed when read -- exactly what T*W1 needs.
-
-    // Z -= V * W1 over rows p+1 .. n-1.
-#pragma omp parallel for schedule(static) if (par)
-    for (std::size_t i = p + 1; i < n; ++i) {
-      const double* ri = r.row(i);
-      double* zi = z.row(i);
-      const std::size_t c_hi = std::min(pw, i - p);
-      for (std::size_t c = 0; c < c_hi; ++c) {
-        const double coeff = ri[p + c];
-        if (coeff == 0.0) continue;
-        const double* w1c = w1.row(c);
-        for (std::size_t q = 0; q < m; ++q) zi[q] -= coeff * w1c[q];
-      }
+      gemm_panel_add(pw, rows, mq, vt.data(), rows, z.row(p + 1) + q_lo, m,
+                     w1.data() + q_lo, m);
+      gemm_panel_add(pw, pw, mq, t.data(), kNb, w1.data() + q_lo, m,
+                     tw1.data() + q_lo, m);
+      gemm_panel_add(rows, pw, mq, negv.data(), pw, tw1.data() + q_lo, m,
+                     z.row(p + 1) + q_lo, m);
     }
   }
 }

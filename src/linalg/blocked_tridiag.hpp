@@ -9,12 +9,16 @@
 /// This module is the LAPACK SYTRD/LATRD counterpart: within a panel of
 /// `block` columns only the current column is updated, the per-reflector
 /// couplings are accumulated into an auxiliary W panel, and the trailing
-/// submatrix receives one symmetric rank-2k (GEMM-shaped) update per panel.
+/// submatrix receives one symmetric rank-2k update per panel (syr2k_lower:
+/// one panel product of contraction length 2 x block per tile).  The
+/// column-by-column panel work -- the symv with the panel's pending-update
+/// sums folded into its row sweep, and one row sweep per column that writes
+/// W and updates the next column -- is threaded over fixed row ranges.
 /// The reflectors are kept in factored form so eigenvector back-transforms
-/// can be applied as compact WY blocks -- two GEMMs per panel -- instead of
-/// one Givens rotation at a time.  This is what turns the O(N^3)
-/// diagonalization, the dominant cost of exact tight-binding MD, from a
-/// memory-bound into a compute-bound kernel.
+/// can be applied as compact WY blocks -- panel products V^T Z and
+/// Z - V (T V^T Z) on the register-blocked gemm_panel_add -- instead of
+/// one Givens rotation at a time.  What stays bandwidth-bound is the symv,
+/// about half of the reduction at N = 800.
 
 #include <cstddef>
 #include <vector>
@@ -46,7 +50,9 @@ struct TridiagFactorization {
                                                           std::size_t block = 32);
 
 /// Z <- Q * Z for an n x m matrix Z, applying the factored reflectors as
-/// compact WY blocks (two GEMM-shaped sweeps per panel).  This is the
+/// compact WY blocks of 32 (panel products W1 = V^T Z and Z -= V (T W1),
+/// threads owning column slices of Z).  Bit-identical at any thread count.
+/// This is the
 /// back-transform taking eigenvectors of T to eigenvectors of A and costs
 /// ~4 n^2 m flops; for partial-spectrum queries m << n it is the step that
 /// makes occupied-only diagonalization cheap.

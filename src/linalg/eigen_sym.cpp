@@ -155,12 +155,17 @@ void tql_implicit_shift(std::vector<double>& d, std::vector<double>& e,
         cosines.clear();
         bool underflow = false;
 
-        // Chase the bulge from m-1 down to l; record rotations so they can
-        // be applied to the eigenvector rows in parallel afterwards.
+        // Chase the bulge from m-1 down to l; with eigenvectors, record the
+        // rotations so they can be applied to the rows in parallel after.
         for (std::size_t ii = m; ii-- > l;) {
           double f = s * e[ii];
           const double b = c * e[ii];
-          r = std::hypot(f, g);
+          // sqrt(f^2 + g^2) costs a fraction of std::hypot; inside
+          // [2^-450, 2^450] neither square overflows, and one small enough
+          // to underflow is below half an ulp of the other.
+          const double big = std::max(std::fabs(f), std::fabs(g));
+          r = big > 0x1p-450 && big < 0x1p450 ? std::sqrt(f * f + g * g)
+                                              : std::hypot(f, g);
           e[ii + 1] = r;
           if (r == 0.0) {
             // Deflate without finishing the sweep.
@@ -176,8 +181,10 @@ void tql_implicit_shift(std::vector<double>& d, std::vector<double>& e,
           p = s * r;
           d[ii + 1] = g + p;
           g = c * r - b;
-          sines.push_back(s);
-          cosines.push_back(c);
+          if (z != nullptr) {
+            sines.push_back(s);
+            cosines.push_back(c);
+          }
         }
 
         if (z != nullptr && !sines.empty()) {

@@ -3,9 +3,9 @@
 /// \file panel_kernel.hpp
 /// \brief Register-blocked body of linalg::gemm_panel_add (C += A * B on
 /// row-major panels).  Internal to the linalg and onx layers: blas.cpp
-/// instantiates it behind the out-of-line gemm_panel_add, and the
+/// instantiates it behind the out-of-line gemm_panel_add, the
 /// block-sparse SpMM inlines it at the constant 4 x 4 x 4 shape of sp atom
-/// tiles.
+/// tiles, and the tridiagonalization's symv borrows its vector types.
 
 #include <cstddef>
 

@@ -149,6 +149,29 @@ TEST(Bisection, MatchesQlValuesOnRandomTridiagonal) {
   }
 }
 
+TEST(Ql, ValuesOnlyHoldOnTridiagonalsScaledToExtremeRanges) {
+  // From 1e+-150 on the QL rotations leave the range where sqrt(f^2 + g^2)
+  // is taken and fall back to std::hypot (at 1e+-200 the squares would
+  // overflow / underflow); the eigenvalues must still be the bisection
+  // eigenvalues of the unscaled matrix times the scale.
+  const std::size_t n = 64;
+  Rng rng(31);
+  std::vector<double> d(n), e(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) d[i] = rng.uniform(-2, 2);
+  for (std::size_t i = 1; i < n; ++i) e[i] = rng.uniform(-1, 1);
+  const auto ref = tridiagonal_eigenvalues_range(d, e, 0, n - 1);
+  for (const double scale : {1e-200, 1e-150, 1.0, 1e150, 1e200}) {
+    std::vector<double> ds = d, es = e;
+    for (double& x : ds) x *= scale;
+    for (double& x : es) x *= scale;
+    tql_implicit_shift(ds, es, nullptr);
+    std::sort(ds.begin(), ds.end());
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_NEAR(ds[k] / scale, ref[k], 1e-12) << scale << " " << k;
+    }
+  }
+}
+
 TEST(Bisection, ConsistentWithSturmCounts) {
   const std::size_t n = 50;
   const Matrix a = random_symmetric(n, 404);

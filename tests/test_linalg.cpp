@@ -139,7 +139,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 2),
                       std::make_tuple(16, 16, 16), std::make_tuple(65, 64, 63),
                       std::make_tuple(70, 129, 40),
-                      std::make_tuple(128, 128, 128)));
+                      std::make_tuple(128, 128, 128),
+                      std::make_tuple(33, 300, 17)));  // k beyond one slab
 
 TEST(Gemm, InnerDimensionMismatchThrows) {
   Matrix a(2, 3), b(4, 2);
@@ -164,7 +165,8 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, SyrkSizes,
     ::testing::Values(std::make_tuple(1, 1), std::make_tuple(5, 3),
                       std::make_tuple(64, 64), std::make_tuple(70, 33),
-                      std::make_tuple(63, 130), std::make_tuple(129, 96)));
+                      std::make_tuple(63, 130), std::make_tuple(129, 96),
+                      std::make_tuple(3, 2), std::make_tuple(83, 300)));
 
 TEST(Syrk, BetaScalesExistingSymmetricC) {
   const Matrix a = random_matrix(40, 17, 60);
@@ -186,17 +188,21 @@ TEST(Syrk, ShapeMismatchThrows) {
 }
 
 TEST(Syr2k, MatchesExplicitProduct) {
-  const Matrix a = random_matrix(65, 40, 70);
-  const Matrix b = random_matrix(65, 40, 71);
-  Matrix c(65, 65, 0.0);
-  syr2k(1.5, a, b, 0.0, c);
-  const Matrix expect = naive_matmul(a, transpose(b)) + naive_matmul(b, transpose(a));
-  for (std::size_t i = 0; i < 65; ++i) {
-    for (std::size_t j = 0; j < 65; ++j) {
-      EXPECT_NEAR(c(i, j), 1.5 * expect(i, j), 1e-11);
+  for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{3, 1},
+                             {17, 5}, {65, 40}, {130, 33}, {71, 140}}) {
+    const Matrix a = random_matrix(n, k, 70);
+    const Matrix b = random_matrix(n, k, 71);
+    Matrix c(n, n, 0.0);
+    syr2k(1.5, a, b, 0.0, c);
+    const Matrix expect =
+        naive_matmul(a, transpose(b)) + naive_matmul(b, transpose(a));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_NEAR(c(i, j), 1.5 * expect(i, j), 1e-11) << n << "x" << k;
+      }
     }
+    EXPECT_DOUBLE_EQ(symmetry_defect(c), 0.0);
   }
-  EXPECT_DOUBLE_EQ(symmetry_defect(c), 0.0);
 }
 
 TEST(Syr2k, ShapeMismatchThrows) {
@@ -226,6 +232,39 @@ TEST(Syr2kLower, UpdatesTrailingSubmatrixInPlace) {
   // Rows above / columns right of the trailing block are untouched.
   for (std::size_t i = 0; i < q0; ++i) {
     for (std::size_t j = 0; j < n; ++j) EXPECT_DOUBLE_EQ(c(i, j), c0(i, j));
+  }
+}
+
+TEST(RankKLower, LeavesStrictUpperTriangleUntouched) {
+  // Trailing block of 146: not a multiple of the 64-wide tiles, the 16-row
+  // diagonal bands or the 8-wide register blocks.
+  const std::size_t n = 157, q0 = 11, k = 13;
+  const Matrix v = random_matrix(n, k, 84);
+  const Matrix w = random_matrix(n, k, 85);
+  for (const bool rank2 : {false, true}) {
+    Matrix c = random_matrix(n, n, 86);
+    const Matrix c0 = c;
+    if (rank2) {
+      syr2k_lower(n - q0, k, -1.0, v.row(q0), k, w.row(q0), k,
+                  c.row(q0) + q0, n);
+    } else {
+      syrk_lower(n - q0, k, -1.0, v.row(q0), k, c.row(q0) + q0, n);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i < q0 || j < q0 || j > i) {
+          EXPECT_EQ(std::memcmp(c.row(i) + j, c0.row(i) + j, sizeof(double)), 0)
+              << rank2 << ": " << i << "," << j;
+          continue;
+        }
+        double s = 0.0;
+        for (std::size_t cc = 0; cc < k; ++cc) {
+          s += rank2 ? v(i, cc) * w(j, cc) + w(i, cc) * v(j, cc)
+                     : v(i, cc) * v(j, cc);
+        }
+        EXPECT_NEAR(c(i, j), c0(i, j) - s, 1e-12) << i << "," << j;
+      }
+    }
   }
 }
 
@@ -379,6 +418,78 @@ TEST(BlockedTridiag, BitIdenticalAcrossRepeatedRunsAtFourThreads) {
     EXPECT_TRUE(bitwise_equal(f.reflectors.data(), ref.reflectors.data(),
                               300 * 300))
         << run;
+  }
+}
+
+/// Q Z by the reflectors one at a time, last first
+/// (Z -= tau_j v_j (v_j^T Z)): the unblocked reference for apply_q.
+Matrix apply_reflectors(const TridiagFactorization& f, Matrix z) {
+  const std::size_t n = f.size();
+  for (std::size_t j = n >= 3 ? n - 2 : 0; j-- > 0;) {
+    for (std::size_t q = 0; q < z.cols(); ++q) {
+      double s = 0.0;
+      for (std::size_t i = j + 1; i < n; ++i) s += f.reflectors(i, j) * z(i, q);
+      for (std::size_t i = j + 1; i < n; ++i) {
+        z(i, q) -= f.tau[j] * s * f.reflectors(i, j);
+      }
+    }
+  }
+  return z;
+}
+
+TEST(ApplyQ, MatchesReflectorByReflectorOnAwkwardShapes) {
+  // n = 3 has one reflector; n = 35 ends on a one-reflector WY block;
+  // m < 16 and m not a multiple of 16 / 8 leave column remainders.
+  for (const std::size_t n : {3u, 4u, 35u, 67u, 100u}) {
+    const auto fact = blocked_tridiagonalize(random_symmetric(n, 300 + n));
+    for (const std::size_t m : {1u, 7u, 15u, 17u, 83u}) {
+      const Matrix z = random_matrix(n, m, 400 + m);
+      Matrix applied = z;
+      apply_q(fact, applied);
+      EXPECT_LT(max_abs(applied - apply_reflectors(fact, z)), 1e-12)
+          << n << " x " << m;
+    }
+  }
+}
+
+TEST(PanelLevel3, BitIdenticalAtOneAndFourThreads) {
+  // The level-3 drivers split only rows or columns of the output across
+  // threads, never the contraction, so every element is the same sum in
+  // the same order at any team size.
+  struct ThreadGuard {
+    int saved = par::max_threads();
+    ~ThreadGuard() { par::set_num_threads(saved); }
+  } guard;
+  const Matrix a = random_matrix(203, 300, 90);  // k beyond one slab
+  const Matrix v = random_matrix(203, 37, 91);
+  const Matrix w = random_matrix(203, 37, 92);
+  const Matrix c0 = random_symmetric(203, 93);
+  const auto fact = blocked_tridiagonalize(random_symmetric(301, 94));
+  const Matrix z0 = random_matrix(301, 579, 95);  // the tube's m = 579
+  const auto run = [&](int threads) {
+    par::set_num_threads(threads);
+    std::vector<Matrix> out;
+    out.push_back(matmul(a, transpose(a)));
+    Matrix c = c0;
+    syrk(1.0, a, 0.0, c);
+    out.push_back(c);
+    c = c0;
+    syr2k(-1.0, v, w, 1.0, c);
+    out.push_back(c);
+    Matrix z = z0;
+    apply_q(fact, z);
+    out.push_back(z);
+    return out;
+  };
+  const std::vector<Matrix> one = run(1);
+  const std::vector<Matrix> four = run(4);
+  const char* names[] = {"matmul", "syrk", "syr2k", "apply_q"};
+  for (std::size_t q = 0; q < one.size(); ++q) {
+    const std::size_t count = one[q].rows() * one[q].cols();
+    EXPECT_EQ(std::memcmp(one[q].data(), four[q].data(),
+                          count * sizeof(double)),
+              0)
+        << names[q];
   }
 }
 
