@@ -312,6 +312,32 @@ void BM_BsrSpMMSym(benchmark::State& state) {
 }
 BENCHMARK(BM_BsrSpMMSym)->Arg(64)->Arg(216)->Unit(benchmark::kMillisecond);
 
+void BM_BsrSpMMSym_cold(benchmark::State& state) {
+  // P * P on the converged fill-1 density of perturbed 216-atom diamond C
+  // (drop 1e-6) with a fresh BsrPattern every iteration: the symbolic
+  // phase runs each time, as it does on an MD step whose truncation moved
+  // an operand pattern, while the workspace keeps the operand structure
+  // cached on P's pattern.  Arg = atom count.
+  System s = diamond_with_atoms(Element::C, 3.567, state.range(0));
+  structures::perturb(s, 0.02, 3);
+  onx::OrderNOptions opt;
+  opt.purification.drop_tolerance = 1e-6;
+  onx::OrderNCalculator calc(tb::xwch_carbon(), opt);
+  (void)calc.compute(s);
+  const onx::BlockSparseMatrix p = calc.last_purification().density;
+  onx::BlockSparseMatrix out;
+  onx::BsrWorkspace ws;
+  for (auto _ : state) {
+    onx::BsrPattern pattern;
+    p.multiply_sym_into(p, 1e-6, out, ws, &pattern);
+    benchmark::DoNotOptimize(out.nnz());
+  }
+  state.counters["fill"] = p.fill_fraction();
+  state.counters["symbolic"] = static_cast<double>(ws.stats.symbolic_builds);
+  state.counters["GFLOP/s"] = spmm_rate(p);
+}
+BENCHMARK(BM_BsrSpMMSym_cold)->Arg(216)->Unit(benchmark::kMillisecond);
+
 void BM_BsrSpMMSym_f32(benchmark::State& state) {
   // The fp32 twin of BM_BsrSpMMSym: the same warm symmetric-half H * H on
   // fp32 tiles -- the SpMM the mixed-precision purification loop runs in

@@ -13,8 +13,9 @@ partial sums) and their eigenvector back-transform at the 200-atom tube's
 shape (BM_ApplyQ/800), the bond-table build, the density-matrix rank-k update,
 the symmetric-half warm-pattern SpMM the purification loop runs
 (BM_BsrSpMMSym/216) and its fp32 twin BM_BsrSpMMSym_f32/216 -- the
-mixed-precision loose-phase kernel -- and the full O(N) purification step
-(BM_TbOnStep/216).  (BM_BandForces/216 is recorded but not gated: a
+mixed-precision loose-phase kernel --, the cold-pattern density product
+P * P with its symbolic phase (BM_BsrSpMMSym_cold/216), and the full O(N)
+purification step (BM_TbOnStep/216).  (BM_BandForces/216 is recorded but not gated: a
 ~40 us kernel has a process-level noise floor wider than any regression
 worth gating on.)
 
@@ -116,7 +117,8 @@ def main():
                             "BM_BlockedTridiag/256", "BM_ApplyQ/800",
                             "BM_BondTable/216", "BM_DensityMatrix/256",
                             "BM_BsrSpMMSym/216=0.05",
-                            "BM_BsrSpMMSym_f32/216", "BM_TbOnStep/216"]
+                            "BM_BsrSpMMSym_f32/216",
+                            "BM_BsrSpMMSym_cold/216", "BM_TbOnStep/216"]
     kernels = []
     for spec in specs:  # NAME or NAME=FRAC (per-kernel limit override)
         name, _, frac = spec.partition("=")

@@ -1,8 +1,10 @@
 #include "src/onx/block_sparse.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "src/linalg/blas.hpp"
 #include "src/linalg/panel_kernel.hpp"
@@ -40,6 +42,95 @@ inline bool dims_uniform(const std::vector<std::uint32_t>& dims) {
     if (d != dims.front()) return false;
   }
   return true;
+}
+
+volatile double kRuntimeOne = 1.0;  // see combine_sweep
+
+/// Staging rows of tile scalar type T (double: row_vals, float:
+/// row_vals32).
+template <class T>
+std::vector<std::vector<T>>& staging_rows(BsrWorkspace& ws) {
+  if constexpr (std::is_same_v<T, float>) {
+    return ws.row_vals32;
+  } else {
+    return ws.row_vals;
+  }
+}
+
+/// T payload of stored tile k.
+template <class T>
+const T* tile_of(const BlockSparseMatrix& m, std::size_t k) {
+  if constexpr (std::is_same_v<T, float>) {
+    return m.block_f32(k);
+  } else {
+    return m.block(k);
+  }
+}
+
+/// out = alpha * a + beta * b over one tile of `sz` entries; `a` or `b` is
+/// null where that operand has no tile.  Each precision keeps its own
+/// rounding sequence: fp64 scales `a` and accumulates beta * b in a second
+/// pass; fp32 combines every entry in one fp64 expression and rounds once
+/// on store.  The expression shapes fix which product a contracting
+/// compiler fuses into an FMA, so they are part of the results' bits.
+/// `out` may alias `a` (entries are read before written).
+template <class T>
+inline void combine_tile(double alpha, const T* a, double beta, const T* b,
+                         std::size_t sz, T* out) {
+  if constexpr (std::is_same_v<T, float>) {
+    if (a != nullptr && b != nullptr) {
+      for (std::size_t q = 0; q < sz; ++q) {
+        out[q] = static_cast<float>(alpha * static_cast<double>(a[q]) +
+                                    beta * static_cast<double>(b[q]));
+      }
+    } else if (a != nullptr) {
+      for (std::size_t q = 0; q < sz; ++q) {
+        out[q] = static_cast<float>(alpha * static_cast<double>(a[q]));
+      }
+    } else {
+      for (std::size_t q = 0; q < sz; ++q) {
+        out[q] = static_cast<float>(beta * static_cast<double>(b[q]));
+      }
+    }
+  } else if (a != nullptr) {
+    for (std::size_t q = 0; q < sz; ++q) out[q] = alpha * a[q];
+    if (b != nullptr) {
+      for (std::size_t q = 0; q < sz; ++q) out[q] += beta * b[q];
+    }
+  } else {
+    for (std::size_t q = 0; q < sz; ++q) out[q] = beta * b[q];
+  }
+}
+
+/// Truncate a staged di x dj tile in place and report whether it stays:
+/// entries of magnitude <= sub_tile_drop are zeroed first (off at 0.0),
+/// then the tile is dropped when its Frobenius norm is at most the RMS
+/// threshold; a nonzero diagonal tile always stays so traces remain exact.
+template <class T>
+inline bool keep_staged_tile(T* tile, std::size_t di, std::size_t dj,
+                             bool uniform, bool diagonal,
+                             double drop_tolerance, double sub_tile_drop) {
+  const std::size_t sz = di * dj;
+  double norm2;
+  if constexpr (std::is_same_v<T, float>) {
+    if (sub_tile_drop > 0.0) {
+      const float sub = static_cast<float>(sub_tile_drop);
+      for (std::size_t q = 0; q < sz; ++q) {
+        if (std::fabs(tile[q]) <= sub) tile[q] = 0.0f;
+      }
+    }
+    norm2 = linalg::tile_norm2_rect_f32(di, dj, tile);
+  } else {
+    if (sub_tile_drop > 0.0) {
+      for (std::size_t q = 0; q < sz; ++q) {
+        if (std::fabs(tile[q]) <= sub_tile_drop) tile[q] = 0.0;
+      }
+    }
+    norm2 = linalg::tile_norm2_rect(di, dj, tile);
+  }
+  const bool keep = uniform ? keep_tile(norm2, di, drop_tolerance)
+                            : keep_tile_rect(norm2, sz, drop_tolerance);
+  return keep || (diagonal && norm2 > 0.0);
 }
 
 }  // namespace
@@ -663,225 +754,125 @@ double BlockSparseMatrix::trace_of_product(const BlockSparseMatrix& b) const {
   return t;
 }
 
-void bsr_assemble(std::size_t n, std::size_t bs, BsrWorkspace& ws,
-                  BlockSparseMatrix& out, bool symmetric_half) {
+template <class T>
+void BlockSparseMatrix::assemble_staged(std::size_t n, std::size_t bs,
+                                        const std::vector<std::uint32_t>& dims,
+                                        BsrWorkspace& ws,
+                                        BlockSparseMatrix& out,
+                                        bool symmetric_half) {
+  const bool var = !dims.empty();
+  const std::size_t nb = var ? dims.size() : n / bs;
+  std::vector<std::vector<T>>& rows = staging_rows<T>(ws);
+  TBMD_REQUIRE(ws.row_cols.size() >= nb && rows.size() >= nb,
+               "bsr_assemble: workspace rows missing");
+  // A reused output may carry another layout or the other precision's
+  // payloads from a previous life.
   out.n_ = n;
-  out.bs_ = bs;
-  out.max_bs_ = bs;
-  out.nb_ = n / bs;
+  out.bs_ = var ? 0 : bs;
+  out.max_bs_ = var ? *std::max_element(dims.begin(), dims.end()) : bs;
+  out.nb_ = nb;
   out.sym_ = symmetric_half;
-  // A reused output may carry a variable layout or fp32 payloads from a
-  // previous life.
-  out.dims_.clear();
+  out.dims_ = dims;
   out.offs_.clear();
   out.val_ptr_.clear();
-  out.val32_.clear();
-  out.prec_ = TilePrecision::kF64;
-  const std::size_t nb = out.nb_;
-  const std::size_t bs2 = bs * bs;
-  TBMD_REQUIRE(ws.row_cols.size() >= nb && ws.row_vals.size() >= nb,
-               "bsr_assemble: workspace rows missing");
+  std::vector<T>* payload;
+  if constexpr (std::is_same_v<T, float>) {
+    out.val_.clear();
+    out.prec_ = TilePrecision::kF32;
+    payload = &out.val32_;
+  } else {
+    out.val32_.clear();
+    out.prec_ = TilePrecision::kF64;
+    payload = &out.val_;
+  }
   out.row_ptr_.assign(nb + 1, 0);
   for (std::size_t bi = 0; bi < nb; ++bi) {
     out.row_ptr_[bi + 1] = out.row_ptr_[bi] + ws.row_cols[bi].size();
   }
   const std::size_t nblocks = out.row_ptr_[nb];
   out.col_.resize(nblocks);
-  out.val_.resize(nblocks * bs2);
+  if (var) {
+    out.offs_.resize(nb + 1);
+    out.offs_[0] = 0;
+    out.val_ptr_.assign(nblocks + 1, 0);
+    for (std::size_t bi = 0; bi < nb; ++bi) {
+      out.offs_[bi + 1] = out.offs_[bi] + dims[bi];
+      std::size_t k = out.row_ptr_[bi];
+      for (const std::uint32_t bj : ws.row_cols[bi]) {
+        out.val_ptr_[k + 1] =
+            out.val_ptr_[k] + static_cast<std::size_t>(dims[bi]) * dims[bj];
+        ++k;
+      }
+    }
+    payload->resize(out.val_ptr_[nblocks]);
+  } else {
+    payload->resize(nblocks * bs * bs);
+  }
   [[maybe_unused]] const bool par = nb > 64;
 #pragma omp parallel for schedule(static) if (par)
   for (std::size_t bi = 0; bi < nb; ++bi) {
-    const std::size_t at = out.row_ptr_[bi];
+    const std::size_t k = out.row_ptr_[bi];
+    const std::size_t at = var ? out.val_ptr_[k] : k * bs * bs;
+    TBMD_REQUIRE(!var || rows[bi].size() == out.val_ptr_[out.row_ptr_[bi + 1]] - at,
+                 "bsr_assemble: staged row size does not match the layout");
     std::copy(ws.row_cols[bi].begin(), ws.row_cols[bi].end(),
-              out.col_.begin() + static_cast<std::ptrdiff_t>(at));
-    std::copy(ws.row_vals[bi].begin(), ws.row_vals[bi].end(),
-              out.val_.begin() + static_cast<std::ptrdiff_t>(at * bs2));
+              out.col_.begin() + static_cast<std::ptrdiff_t>(k));
+    std::copy(rows[bi].begin(), rows[bi].end(),
+              payload->begin() + static_cast<std::ptrdiff_t>(at));
   }
   out.refingerprint();
+}
+
+void bsr_assemble(std::size_t n, std::size_t bs, BsrWorkspace& ws,
+                  BlockSparseMatrix& out, bool symmetric_half) {
+  BlockSparseMatrix::assemble_staged<double>(n, bs, {}, ws, out,
+                                             symmetric_half);
 }
 
 void bsr_assemble(const std::vector<std::uint32_t>& dims, BsrWorkspace& ws,
                   BlockSparseMatrix& out, bool symmetric_half) {
   TBMD_REQUIRE(!dims.empty(), "bsr_assemble: empty block layout");
   std::size_t n = 0;
-  std::uint32_t widest = 0;
-  for (const std::uint32_t d : dims) {
-    n += d;
-    widest = std::max(widest, d);
-  }
+  for (const std::uint32_t d : dims) n += d;
   if (dims_uniform(dims)) {
-    bsr_assemble(n, dims.front(), ws, out, symmetric_half);
-    return;
+    BlockSparseMatrix::assemble_staged<double>(n, dims.front(), {}, ws, out,
+                                               symmetric_half);
+  } else {
+    BlockSparseMatrix::assemble_staged<double>(n, 0, dims, ws, out,
+                                               symmetric_half);
   }
-  const std::size_t nb = dims.size();
-  TBMD_REQUIRE(ws.row_cols.size() >= nb && ws.row_vals.size() >= nb,
-               "bsr_assemble: workspace rows missing");
-  out.n_ = n;
-  out.bs_ = 0;
-  out.max_bs_ = widest;
-  out.nb_ = nb;
-  out.sym_ = symmetric_half;
-  out.val32_.clear();
-  out.prec_ = TilePrecision::kF64;
-  out.dims_ = dims;
-  out.offs_.resize(nb + 1);
-  out.offs_[0] = 0;
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    out.offs_[bi + 1] = out.offs_[bi] + dims[bi];
-  }
-  out.row_ptr_.assign(nb + 1, 0);
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    out.row_ptr_[bi + 1] = out.row_ptr_[bi] + ws.row_cols[bi].size();
-  }
-  const std::size_t nblocks = out.row_ptr_[nb];
-  out.col_.resize(nblocks);
-  out.val_ptr_.assign(nblocks + 1, 0);
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    const std::size_t at = out.row_ptr_[bi];
-    std::copy(ws.row_cols[bi].begin(), ws.row_cols[bi].end(),
-              out.col_.begin() + static_cast<std::ptrdiff_t>(at));
-    for (std::size_t k = at; k < out.row_ptr_[bi + 1]; ++k) {
-      out.val_ptr_[k + 1] =
-          static_cast<std::size_t>(dims[bi]) * dims[out.col_[k]];
-    }
-  }
-  for (std::size_t k = 0; k < nblocks; ++k) {
-    out.val_ptr_[k + 1] += out.val_ptr_[k];
-  }
-  out.val_.resize(out.val_ptr_[nblocks]);
-  [[maybe_unused]] const bool par = nb > 64;
-#pragma omp parallel for schedule(static) if (par)
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    const std::size_t at = out.val_ptr_[out.row_ptr_[bi]];
-    TBMD_REQUIRE(ws.row_vals[bi].size() ==
-                     out.val_ptr_[out.row_ptr_[bi + 1]] - at,
-                 "bsr_assemble: staged row size does not match the layout");
-    std::copy(ws.row_vals[bi].begin(), ws.row_vals[bi].end(),
-              out.val_.begin() + static_cast<std::ptrdiff_t>(at));
-  }
-  out.refingerprint();
-}
-
-void BlockSparseMatrix::assemble_f32(std::size_t n, std::size_t bs,
-                                     BsrWorkspace& ws, BlockSparseMatrix& out,
-                                     bool symmetric_half) {
-  out.n_ = n;
-  out.bs_ = bs;
-  out.max_bs_ = bs;
-  out.nb_ = n / bs;
-  out.sym_ = symmetric_half;
-  // A reused output may carry a variable layout or fp64 payloads from a
-  // previous life.
-  out.dims_.clear();
-  out.offs_.clear();
-  out.val_ptr_.clear();
-  out.val_.clear();
-  out.prec_ = TilePrecision::kF32;
-  const std::size_t nb = out.nb_;
-  const std::size_t bs2 = bs * bs;
-  TBMD_REQUIRE(ws.row_cols.size() >= nb && ws.row_vals32.size() >= nb,
-               "assemble_f32: workspace rows missing");
-  out.row_ptr_.assign(nb + 1, 0);
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    out.row_ptr_[bi + 1] = out.row_ptr_[bi] + ws.row_cols[bi].size();
-  }
-  const std::size_t nblocks = out.row_ptr_[nb];
-  out.col_.resize(nblocks);
-  out.val32_.resize(nblocks * bs2);
-  [[maybe_unused]] const bool par = nb > 64;
-#pragma omp parallel for schedule(static) if (par)
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    const std::size_t at = out.row_ptr_[bi];
-    std::copy(ws.row_cols[bi].begin(), ws.row_cols[bi].end(),
-              out.col_.begin() + static_cast<std::ptrdiff_t>(at));
-    std::copy(ws.row_vals32[bi].begin(), ws.row_vals32[bi].end(),
-              out.val32_.begin() + static_cast<std::ptrdiff_t>(at * bs2));
-  }
-  out.refingerprint();
-}
-
-void BlockSparseMatrix::assemble_f32(const std::vector<std::uint32_t>& dims,
-                                     BsrWorkspace& ws, BlockSparseMatrix& out,
-                                     bool symmetric_half) {
-  TBMD_REQUIRE(!dims.empty(), "assemble_f32: empty block layout");
-  std::size_t n = 0;
-  std::uint32_t widest = 0;
-  for (const std::uint32_t d : dims) {
-    n += d;
-    widest = std::max(widest, d);
-  }
-  if (dims_uniform(dims)) {
-    assemble_f32(n, dims.front(), ws, out, symmetric_half);
-    return;
-  }
-  const std::size_t nb = dims.size();
-  TBMD_REQUIRE(ws.row_cols.size() >= nb && ws.row_vals32.size() >= nb,
-               "assemble_f32: workspace rows missing");
-  out.n_ = n;
-  out.bs_ = 0;
-  out.max_bs_ = widest;
-  out.nb_ = nb;
-  out.sym_ = symmetric_half;
-  out.val_.clear();
-  out.prec_ = TilePrecision::kF32;
-  out.dims_ = dims;
-  out.offs_.resize(nb + 1);
-  out.offs_[0] = 0;
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    out.offs_[bi + 1] = out.offs_[bi] + dims[bi];
-  }
-  out.row_ptr_.assign(nb + 1, 0);
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    out.row_ptr_[bi + 1] = out.row_ptr_[bi] + ws.row_cols[bi].size();
-  }
-  const std::size_t nblocks = out.row_ptr_[nb];
-  out.col_.resize(nblocks);
-  out.val_ptr_.assign(nblocks + 1, 0);
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    const std::size_t at = out.row_ptr_[bi];
-    std::copy(ws.row_cols[bi].begin(), ws.row_cols[bi].end(),
-              out.col_.begin() + static_cast<std::ptrdiff_t>(at));
-    for (std::size_t k = at; k < out.row_ptr_[bi + 1]; ++k) {
-      out.val_ptr_[k + 1] =
-          static_cast<std::size_t>(dims[bi]) * dims[out.col_[k]];
-    }
-  }
-  for (std::size_t k = 0; k < nblocks; ++k) {
-    out.val_ptr_[k + 1] += out.val_ptr_[k];
-  }
-  out.val32_.resize(out.val_ptr_[nblocks]);
-  [[maybe_unused]] const bool par = nb > 64;
-#pragma omp parallel for schedule(static) if (par)
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    const std::size_t at = out.val_ptr_[out.row_ptr_[bi]];
-    TBMD_REQUIRE(ws.row_vals32[bi].size() ==
-                     out.val_ptr_[out.row_ptr_[bi + 1]] - at,
-                 "assemble_f32: staged row size does not match the layout");
-    std::copy(ws.row_vals32[bi].begin(), ws.row_vals32[bi].end(),
-              out.val32_.begin() + static_cast<std::ptrdiff_t>(at));
-  }
-  out.refingerprint();
 }
 
 namespace {
 
-/// Grow-and-clear the staging rows without releasing their capacity.
-void reset_workspace(BsrWorkspace& ws, std::size_t nb) {
+/// Grow-and-clear the staging rows of tile type T without releasing their
+/// capacity.
+template <class T>
+void reset_staging(BsrWorkspace& ws, std::size_t nb) {
+  std::vector<std::vector<T>>& rows = staging_rows<T>(ws);
   if (ws.row_cols.size() < nb) ws.row_cols.resize(nb);
-  if (ws.row_vals.size() < nb) ws.row_vals.resize(nb);
+  if (rows.size() < nb) rows.resize(nb);
   for (std::size_t bi = 0; bi < nb; ++bi) {
     ws.row_cols[bi].clear();
-    ws.row_vals[bi].clear();
+    rows[bi].clear();
   }
 }
 
-/// reset_workspace() for the kF32 sweeps (fp32 staging rows).
-void reset_workspace_f32(BsrWorkspace& ws, std::size_t nb) {
-  if (ws.row_cols.size() < nb) ws.row_cols.resize(nb);
-  if (ws.row_vals32.size() < nb) ws.row_vals32.resize(nb);
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    ws.row_cols[bi].clear();
-    ws.row_vals32[bi].clear();
+/// Worksharing loop over block rows, called inside a parallel region:
+/// whole domains round-robin (`schedule(static, 1)`, so thread t owns the
+/// same rows every call) when `dom` is a valid cut list {0, ..., nb},
+/// dynamic 8-row chunks otherwise.  Per-row work is the same either way.
+template <class F>
+inline void for_each_row(const std::vector<std::size_t>& dom, std::size_t nb,
+                         F&& row) {
+  if (dom.size() > 2 && dom.front() == 0 && dom.back() == nb) {
+#pragma omp for schedule(static, 1)
+    for (std::size_t d = 0; d < dom.size() - 1; ++d) {
+      for (std::size_t bi = dom[d]; bi < dom[d + 1]; ++bi) row(bi);
+    }
+  } else {
+#pragma omp for schedule(dynamic, 8)
+    for (std::size_t bi = 0; bi < nb; ++bi) row(bi);
   }
 }
 
@@ -929,9 +920,105 @@ void build_sym_adjacency(std::size_t nb,
   }
 }
 
-void build_sym_adjacency(const BlockSparseMatrix& a,
-                         BsrWorkspace::SymAdjacency& adj) {
-  build_sym_adjacency(a.block_rows(), a.row_ptr(), a.cols(), adj);
+/// The mirror-expanded adjacency of `m` from cache slot `adj`, rebuilt
+/// only when the slot describes another pattern.
+const BsrWorkspace::SymAdjacency& cached_adjacency(
+    const BlockSparseMatrix& m, BsrWorkspace::SymAdjacency& adj) {
+  const std::uint64_t fp = m.pattern_fingerprint();
+  if (!adj.from.matches(fp)) {
+    build_sym_adjacency(m.block_rows(), m.row_ptr(), m.cols(), adj);
+    adj.from = {fp, true};
+  }
+  return adj;
+}
+
+/// B's word-packed rows for the symbolic phase from its adjacency `adj`,
+/// cached on the pattern `adj` describes.  Adjacency columns are sorted,
+/// so each row's words come out sorted.
+const BsrWorkspace::RowWords& cached_row_words(
+    const BsrWorkspace::SymAdjacency& adj, std::size_t nb,
+    BsrWorkspace::RowWords& rw) {
+  if (rw.from.matches(adj.from.fingerprint)) return rw;
+  rw.ptr.assign(nb + 1, 0);
+  rw.word.clear();
+  rw.mask.clear();
+  for (std::size_t bk = 0; bk < nb; ++bk) {
+    for (std::size_t u = adj.ptr[bk]; u < adj.ptr[bk + 1]; ++u) {
+      const std::uint32_t w = adj.col[u] / 64;
+      if (rw.word.size() == rw.ptr[bk] || rw.word.back() != w) {
+        rw.word.push_back(w);
+        rw.mask.push_back(0);
+      }
+      rw.mask.back() |= std::uint64_t{1} << (adj.col[u] % 64);
+    }
+    rw.ptr[bk + 1] = rw.word.size();
+  }
+  rw.from = adj.from;
+  return rw;
+}
+
+/// Symbolic phase of the upper-half product C = A * B: block row I of C
+/// holds every J >= I reached as I -> K (A's adjacency) -> J (B's word
+/// rows).  A row ORs the word lists of its A-neighbours into a per-thread
+/// bitmap -- the word holding column I masked down to columns >= I, words
+/// before it skipped -- and emits the set bits in ascending order, word by
+/// word.  That is the exact atom pattern the atom-level Gustavson loop
+/// finds, at O(words) instead of O(atom triples) cost.  Rows are staged in
+/// ws.row_cols, then concatenated into `pat`.
+void symbolic_phase(std::size_t nb, const BsrWorkspace::SymAdjacency& adj_a,
+                    const BsrWorkspace::RowWords& wb, BsrWorkspace& ws,
+                    BsrPattern& pat) {
+  const std::size_t nwords = (nb + 63) / 64;
+  const auto nthreads = static_cast<std::size_t>(par::max_threads());
+  if (ws.sym_bits.size() < nthreads) {
+    ws.sym_bits.resize(nthreads);
+    ws.sym_words.resize(nthreads);
+  }
+  if (ws.row_cols.size() < nb) ws.row_cols.resize(nb);
+#pragma omp parallel
+  {
+    const auto tid = static_cast<std::size_t>(par::thread_id());
+    std::vector<std::uint64_t>& bits = ws.sym_bits[tid];
+    std::vector<std::uint32_t>& words = ws.sym_words[tid];
+    if (bits.size() < nwords) bits.assign(nwords, 0);
+    for_each_row(ws.domains, nb, [&](std::size_t bi) {
+      const std::size_t w0 = bi / 64;
+      const std::uint64_t upper = ~std::uint64_t{0} << (bi % 64);
+      words.clear();
+      for (std::size_t ua = adj_a.ptr[bi]; ua < adj_a.ptr[bi + 1]; ++ua) {
+        const std::size_t bk = adj_a.col[ua];
+        const std::size_t qe = wb.ptr[bk + 1];
+        std::size_t q = wb.ptr[bk];
+        while (q < qe && wb.word[q] < w0) ++q;
+        for (; q < qe; ++q) {
+          const std::uint32_t w = wb.word[q];
+          const std::uint64_t m = w == w0 ? wb.mask[q] & upper : wb.mask[q];
+          if (m == 0) continue;
+          if (bits[w] == 0) words.push_back(w);
+          bits[w] |= m;
+        }
+      }
+      std::sort(words.begin(), words.end());
+      std::vector<std::uint32_t>& cols = ws.row_cols[bi];
+      cols.clear();
+      for (const std::uint32_t w : words) {
+        for (std::uint64_t m = bits[w]; m != 0; m &= m - 1) {
+          cols.push_back(64 * w +
+                         static_cast<std::uint32_t>(std::countr_zero(m)));
+        }
+        bits[w] = 0;
+      }
+    });
+  }
+  pat.row_ptr.assign(nb + 1, 0);
+  for (std::size_t bi = 0; bi < nb; ++bi) {
+    pat.row_ptr[bi + 1] = pat.row_ptr[bi] + ws.row_cols[bi].size();
+  }
+  pat.cols.resize(pat.row_ptr[nb]);
+  for (std::size_t bi = 0; bi < nb; ++bi) {
+    std::copy(ws.row_cols[bi].begin(), ws.row_cols[bi].end(),
+              pat.cols.begin() + static_cast<std::ptrdiff_t>(pat.row_ptr[bi]));
+  }
 }
 
 /// First adjacency entry of row `bk` with column >= `bi` (the J >= I
@@ -972,10 +1059,12 @@ inline bool dense_enough(std::size_t area, std::size_t rows,
 }
 
 /// Super-row offsets of `b`'s layout and its upper super-tile pattern with
-/// the packed offset of every dense super-tile (serial, O(stored tiles));
-/// the values are packed later, one super row at a time.
-void build_super_tiles(const BlockSparseMatrix& b,
-                       BsrWorkspace::SuperTiles& st) {
+/// the packed offset of every dense super-tile (serial, O(stored tiles);
+/// skipped while `st` already describes b's pattern).  The values are
+/// packed later, one super row at a time.
+void cached_super_tiles(const BlockSparseMatrix& b,
+                        BsrWorkspace::SuperTiles& st) {
+  if (st.from.matches(b.pattern_fingerprint())) return;
   const std::size_t nb = b.block_rows();
   const std::size_t ns = (nb + kSuperRows - 1) / kSuperRows;
   const std::vector<std::size_t>& row_ptr = b.row_ptr();
@@ -1035,6 +1124,7 @@ void build_super_tiles(const BlockSparseMatrix& b,
   }
   grow_exact(st.vals, packed);
   build_sym_adjacency(ns, st.ptr, st.col, st.adj);
+  st.from = {b.pattern_fingerprint(), true};
 }
 
 /// Pack super row `sk` of `b`: every dense upper super-tile becomes a
@@ -1089,12 +1179,12 @@ void pack_super_row(const BlockSparseMatrix& b, BsrWorkspace::SuperTiles& st,
 /// all zero again.  A fixed call sequence per super row makes results
 /// independent of the thread that runs it.
 void multiply_super_row(const BlockSparseMatrix& a, const BlockSparseMatrix& b,
+                        const BsrWorkspace::SymAdjacency& adj_a,
+                        const BsrWorkspace::SymAdjacency& adj_b,
                         const BsrPattern& pat, double drop_tolerance,
                         double sub_tile_drop, BsrWorkspace& ws,
                         BsrWorkspace::SuperPanel& p, std::size_t si) {
   const BsrWorkspace::SuperTiles& st = ws.super_b;
-  const BsrWorkspace::SymAdjacency& adj_a = ws.adj_a;
-  const BsrWorkspace::SymAdjacency& adj_b = (&b == &a) ? ws.adj_a : ws.adj_b;
   const std::size_t nb = a.block_rows();
   const std::size_t i0 = kSuperRows * si;
   const std::size_t i1 = std::min(nb, i0 + kSuperRows);
@@ -1295,17 +1385,8 @@ void multiply_super_row(const BlockSparseMatrix& a, const BlockSparseMatrix& b,
           if (zero) std::fill_n(src + wj * r, dj, 0.0);
         }
       }
-      // Scalar-granular truncation (off at the 0.0 default).
-      if (sub_tile_drop > 0.0) {
-        for (std::size_t q = 0; q < sz; ++q) {
-          if (std::fabs(tile[q]) <= sub_tile_drop) tile[q] = 0.0;
-        }
-      }
-      const double norm2 = linalg::tile_norm2_rect(di, dj, tile);
-      const bool keep = a.uniform_blocks()
-                            ? keep_tile(norm2, di, drop_tolerance)
-                            : keep_tile_rect(norm2, sz, drop_tolerance);
-      if (keep || (bj == bi && norm2 > 0.0)) {
+      if (keep_staged_tile(tile, di, dj, a.uniform_blocks(), bj == bi,
+                           drop_tolerance, sub_tile_drop)) {
         cols.push_back(bj);
       } else {
         vals.resize(at);
@@ -1346,27 +1427,19 @@ void BsrWorkspace::shrink(const BsrShrinkPolicy& policy) {
     if (a.size() > nb * bs2) a.resize(nb * bs2);
     a.shrink_to_fit();
   }
-  for (auto& h : hit) {
-    if (h.size() > nb) h.resize(nb);
-    h.shrink_to_fit();
+  for (auto& b : sym_bits) {
+    if (b.size() > (nb + 63) / 64) b.resize((nb + 63) / 64);
+    b.shrink_to_fit();
   }
-  for (auto& tv : touched) {
-    tv.clear();
-    tv.shrink_to_fit();
+  for (auto& w : sym_words) {
+    w.clear();
+    w.shrink_to_fit();
   }
-  for (auto* adj : {&adj_a, &adj_b}) {
-    adj->ptr.clear();
-    adj->ptr.shrink_to_fit();
-    adj->col.clear();
-    adj->col.shrink_to_fit();
-    adj->tile.clear();
-    adj->tile.shrink_to_fit();
-    adj->trans.clear();
-    adj->trans.shrink_to_fit();
-    adj->fill.clear();
-    adj->fill.shrink_to_fit();
-  }
-  // The super-tile buffers are sized by the last product; they regrow.
+  // The cached operand structure is dropped outright (and with it its
+  // pattern tags); it is rebuilt on the next product.
+  adj_a = SymAdjacency{};
+  adj_b = SymAdjacency{};
+  words_b = RowWords{};
   super_b = SuperTiles{};
   panels.clear();
   panels.shrink_to_fit();
@@ -1389,26 +1462,24 @@ std::size_t BsrWorkspace::footprint_bytes() const {
   nested(row_vals);
   nested(row_vals32);
   nested(acc32);
-  nested(hit);
-  nested(touched);
-  for (const auto* adj : {&adj_a, &adj_b}) {
+  nested(sym_bits);
+  nested(sym_words);
+  for (const auto* adj : {&adj_a, &adj_b, &super_b.adj}) {
     vec(adj->ptr);
     vec(adj->col);
     vec(adj->tile);
     vec(adj->trans);
     vec(adj->fill);
   }
+  vec(words_b.ptr);
+  vec(words_b.word);
+  vec(words_b.mask);
   vec(super_b.off);
   vec(super_b.ptr);
   vec(super_b.col);
   vec(super_b.val);
   vec(super_b.vals);
   vec(super_b.mark);
-  vec(super_b.adj.ptr);
-  vec(super_b.adj.col);
-  vec(super_b.adj.tile);
-  vec(super_b.adj.trans);
-  vec(super_b.adj.fill);
   total += panels.capacity() * sizeof(SuperPanel);
   for (const SuperPanel& p : panels) {
     vec(p.a);
@@ -1427,6 +1498,72 @@ std::size_t BsrWorkspace::footprint_bytes() const {
   return total;
 }
 
+template <class T>
+void BlockSparseMatrix::combine_sweep(double alpha, const BlockSparseMatrix& b,
+                                      double beta, const BlockSparseMatrix* c,
+                                      double gamma, double drop_tolerance,
+                                      double sub_tile_drop,
+                                      BlockSparseMatrix& out,
+                                      BsrWorkspace& ws) const {
+  // Per block row, one merge over the union of the operand patterns.  The
+  // first combination is staged at the end of the output row and truncated
+  // in place; with a third operand the second combination then runs on the
+  // staged tile, exactly as the two-pass composition would read it back.
+  reset_staging<T>(ws, nb_);
+  std::vector<std::vector<T>>& rows = staging_rows<T>(ws);
+  const bool uniform = uniform_blocks();
+  const std::size_t none = std::numeric_limits<std::size_t>::max();
+  // The composition's second pass scales tmp by 1.0 at run time.  Read it
+  // through a volatile so the compiler cannot fold that product: folded,
+  // the fp32 sum would contract into a different fused multiply-add and
+  // round differently.
+  const double one = kRuntimeOne;
+#pragma omp parallel for schedule(static) if (nb_ > 64)
+  for (std::size_t bi = 0; bi < nb_; ++bi) {
+    const std::size_t di = row_dim(bi);
+    auto& cols = ws.row_cols[bi];
+    auto& vals = rows[bi];
+    std::size_t ka = row_ptr_[bi], kb = b.row_ptr_[bi];
+    const std::size_t ea = row_ptr_[bi + 1], eb = b.row_ptr_[bi + 1];
+    std::size_t kc = c != nullptr ? c->row_ptr_[bi] : 0;
+    const std::size_t ec = c != nullptr ? c->row_ptr_[bi + 1] : 0;
+    while (ka < ea || kb < eb || kc < ec) {
+      std::size_t next = none;
+      if (ka < ea) next = col_[ka];
+      if (kb < eb) next = std::min<std::size_t>(next, b.col_[kb]);
+      if (kc < ec) next = std::min<std::size_t>(next, c->col_[kc]);
+      const auto bj = static_cast<std::uint32_t>(next);
+      const T* ta = ka < ea && col_[ka] == bj ? tile_of<T>(*this, ka++)
+                                              : nullptr;
+      const T* tb = kb < eb && b.col_[kb] == bj ? tile_of<T>(b, kb++)
+                                                : nullptr;
+      const T* tc = kc < ec && c->col_[kc] == bj ? tile_of<T>(*c, kc++)
+                                                 : nullptr;
+      const std::size_t dj = row_dim(bj);
+      const std::size_t at = vals.size();
+      vals.resize(at + di * dj);
+      T* tile = vals.data() + at;
+      bool keep = false;
+      if (ta != nullptr || tb != nullptr) {
+        combine_tile(alpha, ta, beta, tb, di * dj, tile);
+        keep = keep_staged_tile(tile, di, dj, uniform, bj == bi,
+                                drop_tolerance, sub_tile_drop);
+      }
+      if (c != nullptr && (keep || tc != nullptr)) {
+        combine_tile(one, keep ? tile : nullptr, gamma, tc, di * dj, tile);
+        keep = keep_staged_tile(tile, di, dj, uniform, bj == bi,
+                                drop_tolerance, sub_tile_drop);
+      }
+      if (keep) {
+        cols.push_back(bj);
+      } else {
+        vals.resize(at);  // rejected: roll the staged tile back
+      }
+    }
+  }
+  assemble_staged<T>(n_, bs_, dims_, ws, out, sym_);
+}
+
 void BlockSparseMatrix::combine_into(double alpha, const BlockSparseMatrix& b,
                                      double beta, double drop_tolerance,
                                      BlockSparseMatrix& out, BsrWorkspace& ws,
@@ -1437,106 +1574,32 @@ void BlockSparseMatrix::combine_into(double alpha, const BlockSparseMatrix& b,
   TBMD_REQUIRE(&out != this && &out != &b,
                "combine_into: output must not alias an operand");
   if (prec_ == TilePrecision::kF32) {
-    combine_f32_into(alpha, b, beta, drop_tolerance, sub_tile_drop, out, ws);
-    return;
+    combine_sweep<float>(alpha, b, beta, nullptr, 0.0, drop_tolerance,
+                         sub_tile_drop, out, ws);
+  } else {
+    combine_sweep<double>(alpha, b, beta, nullptr, 0.0, drop_tolerance,
+                          sub_tile_drop, out, ws);
   }
-  if (!uniform_blocks()) {
-    reset_workspace(ws, nb_);
-#pragma omp parallel for schedule(static) if (nb_ > 64)
-    for (std::size_t bi = 0; bi < nb_; ++bi) {
-      const std::size_t di = dims_[bi];
-      auto& cols = ws.row_cols[bi];
-      auto& vals = ws.row_vals[bi];
-      std::size_t ka = row_ptr_[bi], ea = row_ptr_[bi + 1];
-      std::size_t kb = b.row_ptr_[bi], eb = b.row_ptr_[bi + 1];
-      while (ka < ea || kb < eb) {
-        std::uint32_t bj;
-        if (ka < ea && (kb >= eb || col_[ka] <= b.col_[kb])) {
-          bj = col_[ka];
-        } else {
-          bj = b.col_[kb];
-        }
-        const std::size_t dj = dims_[bj];
-        const std::size_t sz = di * dj;
-        const std::size_t at = vals.size();
-        vals.resize(at + sz, 0.0);
-        double* tile = vals.data() + at;
-        if (ka < ea && col_[ka] == bj) {
-          const double* ta = block(ka);
-          for (std::size_t q = 0; q < sz; ++q) tile[q] = alpha * ta[q];
-          ++ka;
-          if (kb < eb && b.col_[kb] == bj) {
-            const double* tb = b.block(kb);
-            for (std::size_t q = 0; q < sz; ++q) tile[q] += beta * tb[q];
-            ++kb;
-          }
-        } else {
-          const double* tb = b.block(kb);
-          for (std::size_t q = 0; q < sz; ++q) tile[q] = beta * tb[q];
-          ++kb;
-        }
-        // Scalar-granular truncation (off at the 0.0 default): zero small
-        // entries inside the staged tile before the Frobenius test.
-        if (sub_tile_drop > 0.0) {
-          for (std::size_t q = 0; q < sz; ++q) {
-            if (std::fabs(tile[q]) <= sub_tile_drop) tile[q] = 0.0;
-          }
-        }
-        const double norm2 = linalg::tile_norm2_rect(di, dj, tile);
-        if (keep_tile_rect(norm2, sz, drop_tolerance) ||
-            (bj == bi && norm2 > 0.0)) {
-          cols.push_back(bj);
-        } else {
-          vals.resize(at);  // rejected: roll the staged tile back
-        }
-      }
-    }
-    bsr_assemble(dims_, ws, out, sym_);
-    return;
+}
+
+void BlockSparseMatrix::combine3_into(double alpha, const BlockSparseMatrix& b,
+                                      double beta, const BlockSparseMatrix& c,
+                                      double gamma, double drop_tolerance,
+                                      BlockSparseMatrix& out,
+                                      BsrWorkspace& ws) const {
+  TBMD_REQUIRE(layout_matches(b) && layout_matches(c),
+               "combine3: size/block mismatch");
+  TBMD_REQUIRE(sym_ == b.sym_ && sym_ == c.sym_,
+               "combine3: storage-mode mismatch");
+  TBMD_REQUIRE(prec_ == b.prec_ && prec_ == c.prec_,
+               "combine3: tile-precision mismatch");
+  if (prec_ == TilePrecision::kF32) {
+    combine_sweep<float>(alpha, b, beta, &c, gamma, drop_tolerance, 0.0,
+                         out, ws);
+  } else {
+    combine_sweep<double>(alpha, b, beta, &c, gamma, drop_tolerance, 0.0,
+                          out, ws);
   }
-  const std::size_t bs2 = bs_ * bs_;
-  reset_workspace(ws, nb_);
-#pragma omp parallel for schedule(static) if (nb_ > 64)
-  for (std::size_t bi = 0; bi < nb_; ++bi) {
-    auto& cols = ws.row_cols[bi];
-    auto& vals = ws.row_vals[bi];
-    std::size_t ka = row_ptr_[bi], ea = row_ptr_[bi + 1];
-    std::size_t kb = b.row_ptr_[bi], eb = b.row_ptr_[bi + 1];
-    while (ka < ea || kb < eb) {
-      std::uint32_t bj;
-      const std::size_t at = vals.size();
-      vals.resize(at + bs2, 0.0);
-      double* tile = vals.data() + at;
-      if (ka < ea && (kb >= eb || col_[ka] <= b.col_[kb])) {
-        bj = col_[ka];
-        const double* ta = block(ka);
-        for (std::size_t q = 0; q < bs2; ++q) tile[q] = alpha * ta[q];
-        ++ka;
-        if (kb < eb && b.col_[kb] == bj) {
-          const double* tb = b.block(kb);
-          for (std::size_t q = 0; q < bs2; ++q) tile[q] += beta * tb[q];
-          ++kb;
-        }
-      } else {
-        bj = b.col_[kb];
-        const double* tb = b.block(kb);
-        for (std::size_t q = 0; q < bs2; ++q) tile[q] = beta * tb[q];
-        ++kb;
-      }
-      if (sub_tile_drop > 0.0) {
-        for (std::size_t q = 0; q < bs2; ++q) {
-          if (std::fabs(tile[q]) <= sub_tile_drop) tile[q] = 0.0;
-        }
-      }
-      const double norm2 = linalg::tile_norm2(bs_, tile);
-      if (keep_tile(norm2, bs_, drop_tolerance) || (bj == bi && norm2 > 0.0)) {
-        cols.push_back(bj);
-      } else {
-        vals.resize(at);  // rejected: roll the staged tile back
-      }
-    }
-  }
-  bsr_assemble(n_, bs_, ws, out, sym_);
 }
 
 BlockSparseMatrix BlockSparseMatrix::combine(double alpha,
@@ -1547,133 +1610,6 @@ BlockSparseMatrix BlockSparseMatrix::combine(double alpha,
   BsrWorkspace ws;
   combine_into(alpha, b, beta, drop_tolerance, out, ws);
   return out;
-}
-
-void BlockSparseMatrix::combine_f32_into(double alpha,
-                                         const BlockSparseMatrix& b,
-                                         double beta, double drop_tolerance,
-                                         double sub_tile_drop,
-                                         BlockSparseMatrix& out,
-                                         BsrWorkspace& ws) const {
-  // fp32 twin of combine_into (the mixed loop's iteration update).  Each
-  // output entry is combined in fp64 from the fp32 operand entries and
-  // rounded exactly once on store, so the update adds no accumulation
-  // error beyond the storage rounding itself.  Structure logic mirrors the
-  // fp64 sweep line for line.
-  if (!uniform_blocks()) {
-    reset_workspace_f32(ws, nb_);
-#pragma omp parallel for schedule(static) if (nb_ > 64)
-    for (std::size_t bi = 0; bi < nb_; ++bi) {
-      const std::size_t di = dims_[bi];
-      auto& cols = ws.row_cols[bi];
-      auto& vals = ws.row_vals32[bi];
-      std::size_t ka = row_ptr_[bi], ea = row_ptr_[bi + 1];
-      std::size_t kb = b.row_ptr_[bi], eb = b.row_ptr_[bi + 1];
-      while (ka < ea || kb < eb) {
-        std::uint32_t bj;
-        if (ka < ea && (kb >= eb || col_[ka] <= b.col_[kb])) {
-          bj = col_[ka];
-        } else {
-          bj = b.col_[kb];
-        }
-        const std::size_t dj = dims_[bj];
-        const std::size_t sz = di * dj;
-        const std::size_t at = vals.size();
-        vals.resize(at + sz, 0.0f);
-        float* tile = vals.data() + at;
-        if (ka < ea && col_[ka] == bj) {
-          const float* ta = block_f32(ka);
-          if (kb < eb && b.col_[kb] == bj) {
-            const float* tb = b.block_f32(kb);
-            for (std::size_t q = 0; q < sz; ++q) {
-              tile[q] = static_cast<float>(
-                  alpha * static_cast<double>(ta[q]) +
-                  beta * static_cast<double>(tb[q]));
-            }
-            ++kb;
-          } else {
-            for (std::size_t q = 0; q < sz; ++q) {
-              tile[q] = static_cast<float>(alpha * static_cast<double>(ta[q]));
-            }
-          }
-          ++ka;
-        } else {
-          const float* tb = b.block_f32(kb);
-          for (std::size_t q = 0; q < sz; ++q) {
-            tile[q] = static_cast<float>(beta * static_cast<double>(tb[q]));
-          }
-          ++kb;
-        }
-        if (sub_tile_drop > 0.0) {
-          const float sub = static_cast<float>(sub_tile_drop);
-          for (std::size_t q = 0; q < sz; ++q) {
-            if (std::fabs(tile[q]) <= sub) tile[q] = 0.0f;
-          }
-        }
-        const double norm2 = linalg::tile_norm2_rect_f32(di, dj, tile);
-        if (keep_tile_rect(norm2, sz, drop_tolerance) ||
-            (bj == bi && norm2 > 0.0)) {
-          cols.push_back(bj);
-        } else {
-          vals.resize(at);  // rejected: roll the staged tile back
-        }
-      }
-    }
-    assemble_f32(dims_, ws, out, sym_);
-    return;
-  }
-  const std::size_t bs2 = bs_ * bs_;
-  reset_workspace_f32(ws, nb_);
-#pragma omp parallel for schedule(static) if (nb_ > 64)
-  for (std::size_t bi = 0; bi < nb_; ++bi) {
-    auto& cols = ws.row_cols[bi];
-    auto& vals = ws.row_vals32[bi];
-    std::size_t ka = row_ptr_[bi], ea = row_ptr_[bi + 1];
-    std::size_t kb = b.row_ptr_[bi], eb = b.row_ptr_[bi + 1];
-    while (ka < ea || kb < eb) {
-      std::uint32_t bj;
-      const std::size_t at = vals.size();
-      vals.resize(at + bs2, 0.0f);
-      float* tile = vals.data() + at;
-      if (ka < ea && (kb >= eb || col_[ka] <= b.col_[kb])) {
-        bj = col_[ka];
-        const float* ta = block_f32(ka);
-        if (kb < eb && b.col_[kb] == bj) {
-          const float* tb = b.block_f32(kb);
-          for (std::size_t q = 0; q < bs2; ++q) {
-            tile[q] = static_cast<float>(alpha * static_cast<double>(ta[q]) +
-                                         beta * static_cast<double>(tb[q]));
-          }
-          ++kb;
-        } else {
-          for (std::size_t q = 0; q < bs2; ++q) {
-            tile[q] = static_cast<float>(alpha * static_cast<double>(ta[q]));
-          }
-        }
-        ++ka;
-      } else {
-        bj = b.col_[kb];
-        const float* tb = b.block_f32(kb);
-        for (std::size_t q = 0; q < bs2; ++q) {
-          tile[q] = static_cast<float>(beta * static_cast<double>(tb[q]));
-        }
-        ++kb;
-      }
-      if (sub_tile_drop > 0.0) {
-        const float sub = static_cast<float>(sub_tile_drop);
-        for (std::size_t q = 0; q < bs2; ++q) {
-          if (std::fabs(tile[q]) <= sub) tile[q] = 0.0f;
-        }
-      }
-      const double norm2 = linalg::tile_norm2_f32(bs_, tile);
-      if (keep_tile(norm2, bs_, drop_tolerance) || (bj == bi && norm2 > 0.0)) {
-        cols.push_back(bj);
-      } else {
-        vals.resize(at);  // rejected: roll the staged tile back
-      }
-    }
-  }
-  assemble_f32(n_, bs_, ws, out, sym_);
 }
 
 void BlockSparseMatrix::multiply_sym_into(const BlockSparseMatrix& b,
@@ -1689,108 +1625,44 @@ void BlockSparseMatrix::multiply_sym_into(const BlockSparseMatrix& b,
   TBMD_REQUIRE(prec_ == b.prec_, "multiply_sym: tile-precision mismatch");
   TBMD_REQUIRE(&out != this && &out != &b,
                "multiply_sym_into: output must not alias an operand");
-  if (prec_ == TilePrecision::kF32) {
-    multiply_sym_f32_into(b, drop_tolerance, sub_tile_drop, simd, out, ws,
-                          pattern);
-    return;
-  }
-  // Mirror-expanded adjacencies (shared when squaring).  O(stored tiles):
-  // input bookkeeping, not symbolic-phase work -- the symbolic phase below
-  // is the Gustavson discovery of the *output* pattern.
-  build_sym_adjacency(*this, ws.adj_a);
-  const BsrWorkspace::SymAdjacency& adj_a = ws.adj_a;
-  if (&b != this) build_sym_adjacency(b, ws.adj_b);
-  const BsrWorkspace::SymAdjacency& adj_b = (&b == this) ? ws.adj_a : ws.adj_b;
+  // Mirror-expanded operand adjacencies, cached on the operand patterns: A
+  // reads B's slot whenever the two patterns agree (always when squaring).
+  const BsrWorkspace::SymAdjacency& adj_b = cached_adjacency(b, ws.adj_b);
+  const BsrWorkspace::SymAdjacency& adj_a =
+      b.pattern_fingerprint_ == pattern_fingerprint_
+          ? adj_b
+          : cached_adjacency(*this, ws.adj_a);
 
+  // Symbolic phase (structure only, shared by both precisions), skipped
+  // when the cached pattern still matches both operand fingerprints.
   BsrPattern local;
   BsrPattern& pat = pattern != nullptr ? *pattern : local;
-  const bool warm = pat.valid && pat.a_fingerprint == pattern_fingerprint_ &&
-                    pat.b_fingerprint == b.pattern_fingerprint_;
-
-  const auto nthreads = static_cast<std::size_t>(par::max_threads());
-  if (ws.hit.size() < nthreads) {
-    ws.hit.resize(nthreads);
-    ws.touched.resize(nthreads);
-  }
-
-  // Optional contiguous row-domain decomposition (ws.domains): the
-  // symbolic phase then sweeps whole domains with a static round-robin so
-  // thread t owns the same rows every call.  Per-row work is untouched, so
-  // the output is bit-identical with or without sharding at any thread
-  // count.
-  const std::vector<std::size_t>& dom = ws.domains;
-  const bool sharded =
-      dom.size() > 2 && dom.front() == 0 && dom.back() == nb_;
-
-  if (!warm) {
-    // Symbolic phase: discover the upper-half output pattern (no flops).
+  if (pat.valid && pat.a_fingerprint == pattern_fingerprint_ &&
+      pat.b_fingerprint == b.pattern_fingerprint_) {
+    ++ws.stats.numeric_reuses;
+  } else {
     ++ws.stats.symbolic_builds;
-    reset_workspace(ws, nb_);
-#pragma omp parallel
-    {
-      const auto tid = static_cast<std::size_t>(par::thread_id());
-      std::vector<std::uint8_t>& hit = ws.hit[tid];
-      std::vector<std::uint32_t>& touched = ws.touched[tid];
-      if (hit.size() < nb_) hit.assign(nb_, 0);
-      touched.reserve(256);
-      // always_inline: keeps the row body a leaf of the outlined parallel
-      // region instead of a separately-emitted lambda call.
-      const auto symbolic_row = [&](std::size_t bi)
-          __attribute__((always_inline)) {
-        touched.clear();
-        for (std::size_t ua = adj_a.ptr[bi]; ua < adj_a.ptr[bi + 1]; ++ua) {
-          const std::size_t bk = adj_a.col[ua];
-          for (std::size_t ub = adj_lower_bound(adj_b, bk, bi);
-               ub < adj_b.ptr[bk + 1]; ++ub) {
-            const std::uint32_t bj = adj_b.col[ub];
-            if (hit[bj] == 0) {
-              hit[bj] = 1;
-              touched.push_back(bj);
-            }
-          }
-        }
-        std::sort(touched.begin(), touched.end());
-        ws.row_cols[bi].assign(touched.begin(), touched.end());
-        for (const std::uint32_t bj : touched) hit[bj] = 0;
-      };
-      if (sharded) {
-#pragma omp for schedule(static, 1)
-        for (std::size_t d = 0; d < dom.size() - 1; ++d) {
-          for (std::size_t bi = dom[d]; bi < dom[d + 1]; ++bi) {
-            symbolic_row(bi);
-          }
-        }
-      } else {
-#pragma omp for schedule(dynamic, 8)
-        for (std::size_t bi = 0; bi < nb_; ++bi) symbolic_row(bi);
-      }
-    }
-    pat.row_ptr.assign(nb_ + 1, 0);
-    for (std::size_t bi = 0; bi < nb_; ++bi) {
-      pat.row_ptr[bi + 1] = pat.row_ptr[bi] + ws.row_cols[bi].size();
-    }
-    pat.cols.resize(pat.row_ptr[nb_]);
-    for (std::size_t bi = 0; bi < nb_; ++bi) {
-      std::copy(ws.row_cols[bi].begin(), ws.row_cols[bi].end(),
-                pat.cols.begin() +
-                    static_cast<std::ptrdiff_t>(pat.row_ptr[bi]));
-    }
+    symbolic_phase(nb_, adj_a, cached_row_words(adj_b, nb_, ws.words_b), ws,
+                   pat);
     pat.a_fingerprint = pattern_fingerprint_;
     pat.b_fingerprint = b.pattern_fingerprint_;
     pat.valid = true;
-  } else {
-    ++ws.stats.numeric_reuses;
+  }
+  if (prec_ == TilePrecision::kF32) {
+    multiply_sym_f32_into(b, adj_a, adj_b, pat, drop_tolerance, sub_tile_drop,
+                          simd, out, ws);
+    return;
   }
 
   // Numeric phase on the (frozen or just-built) pattern: identical sweep
   // either way, so warm results are bit-identical to cold ones.  Truncation
   // prunes against the pattern during the gather; the pattern itself stays
-  // frozen (it describes the un-truncated Gustavson product of the operand
+  // frozen (it describes the un-truncated product of the operand
   // patterns).  One parallel region: B's dense super-tiles are packed, then
   // super rows are handed out dynamically in order -- the upper triangle
   // makes the first super rows the longest, so they start first.
-  reset_workspace(ws, nb_);
-  build_super_tiles(b, ws.super_b);
+  reset_staging<double>(ws, nb_);
+  cached_super_tiles(b, ws.super_b);
   const std::vector<std::size_t>& soff = ws.super_b.off;
   const std::size_t ns = soff.size() - 1;
   std::size_t widest = 0;
@@ -1798,6 +1670,7 @@ void BlockSparseMatrix::multiply_sym_into(const BlockSparseMatrix& b,
     widest = std::max(widest, soff[s + 1] - soff[s]);
   }
   const std::size_t scratch = std::max(widest * widest, 2 * max_bs_ * max_bs_);
+  const auto nthreads = static_cast<std::size_t>(par::max_threads());
   if (ws.panels.size() < nthreads) ws.panels.resize(nthreads);
 #pragma omp parallel
   {
@@ -1815,121 +1688,35 @@ void BlockSparseMatrix::multiply_sym_into(const BlockSparseMatrix& b,
     }
 #pragma omp for schedule(dynamic, 1)
     for (std::size_t si = 0; si < ns; ++si) {
-      multiply_super_row(*this, b, pat, drop_tolerance, sub_tile_drop, ws, p,
-                         si);
+      multiply_super_row(*this, b, adj_a, adj_b, pat, drop_tolerance,
+                         sub_tile_drop, ws, p, si);
     }
   }
-  if (uniform_blocks()) {
-    bsr_assemble(n_, bs_, ws, out, true);
-  } else {
-    bsr_assemble(dims_, ws, out, true);
-  }
+  assemble_staged<double>(n_, bs_, dims_, ws, out, true);
 }
 
-void BlockSparseMatrix::multiply_sym_f32_into(const BlockSparseMatrix& b,
-                                              double drop_tolerance,
-                                              double sub_tile_drop, bool simd,
-                                              BlockSparseMatrix& out,
-                                              BsrWorkspace& ws,
-                                              BsrPattern* pattern) const {
-  // fp32 twin of the symmetric-half SpMM (preconditions checked by the
-  // dispatching multiply_sym_into).  The sweep structure mirrors the fp64
-  // kernel line for line -- same adjacency walk, same frozen-pattern
-  // gather, same per-row determinism (per-tile products are sequential
-  // within a row, so results are bit-identical at any thread count for a
-  // given binary) -- but tiles, accumulators and staging are fp32: half
-  // the memory traffic exactly where the numeric phase is
+void BlockSparseMatrix::multiply_sym_f32_into(
+    const BlockSparseMatrix& b, const BsrWorkspace::SymAdjacency& adj_a,
+    const BsrWorkspace::SymAdjacency& adj_b, const BsrPattern& pat,
+    double drop_tolerance, double sub_tile_drop, bool simd,
+    BlockSparseMatrix& out, BsrWorkspace& ws) const {
+  // The fp32 numeric phase (preconditions, adjacencies and pattern come
+  // from multiply_sym_into): the same adjacency walk and frozen-pattern
+  // gather as the fp64 sweep, with per-row determinism (per-tile products
+  // are sequential within a row, so results are bit-identical at any
+  // thread count for a given binary), but tiles, accumulators and staging
+  // are fp32: half the memory traffic exactly where the numeric phase is
   // bandwidth-bound.  `simd` routes tile products through the lane-vector
   // f32 kernels (default) or the generic reference loop (the NumericsSpec
   // A/B switch).
   const std::size_t bs2 = max_bs_ * max_bs_;  // accumulator tile stride
   const bool var = !uniform_blocks();
-
-  build_sym_adjacency(*this, ws.adj_a);
-  const BsrWorkspace::SymAdjacency& adj_a = ws.adj_a;
-  if (&b != this) build_sym_adjacency(b, ws.adj_b);
-  const BsrWorkspace::SymAdjacency& adj_b = (&b == this) ? ws.adj_a : ws.adj_b;
-
-  BsrPattern local;
-  BsrPattern& pat = pattern != nullptr ? *pattern : local;
-  const bool warm = pat.valid && pat.a_fingerprint == pattern_fingerprint_ &&
-                    pat.b_fingerprint == b.pattern_fingerprint_;
-
   const auto nthreads = static_cast<std::size_t>(par::max_threads());
   if (ws.acc32.size() < nthreads) ws.acc32.resize(nthreads);
-  if (ws.hit.size() < nthreads) {
-    ws.hit.resize(nthreads);
-    ws.touched.resize(nthreads);
-  }
-
-  const std::vector<std::size_t>& dom = ws.domains;
-  const bool sharded =
-      dom.size() > 2 && dom.front() == 0 && dom.back() == nb_;
-
-  if (!warm) {
-    // Symbolic phase: identical to the fp64 kernel's (patterns are
-    // structure-only, so a pattern discovered by either precision warms
-    // the other).
-    ++ws.stats.symbolic_builds;
-    reset_workspace_f32(ws, nb_);
-#pragma omp parallel
-    {
-      const auto tid = static_cast<std::size_t>(par::thread_id());
-      std::vector<std::uint8_t>& hit = ws.hit[tid];
-      std::vector<std::uint32_t>& touched = ws.touched[tid];
-      if (hit.size() < nb_) hit.assign(nb_, 0);
-      touched.reserve(256);
-      const auto symbolic_row = [&](std::size_t bi)
-          __attribute__((always_inline)) {
-        touched.clear();
-        for (std::size_t ua = adj_a.ptr[bi]; ua < adj_a.ptr[bi + 1]; ++ua) {
-          const std::size_t bk = adj_a.col[ua];
-          for (std::size_t ub = adj_lower_bound(adj_b, bk, bi);
-               ub < adj_b.ptr[bk + 1]; ++ub) {
-            const std::uint32_t bj = adj_b.col[ub];
-            if (hit[bj] == 0) {
-              hit[bj] = 1;
-              touched.push_back(bj);
-            }
-          }
-        }
-        std::sort(touched.begin(), touched.end());
-        ws.row_cols[bi].assign(touched.begin(), touched.end());
-        for (const std::uint32_t bj : touched) hit[bj] = 0;
-      };
-      if (sharded) {
-#pragma omp for schedule(static, 1)
-        for (std::size_t d = 0; d < dom.size() - 1; ++d) {
-          for (std::size_t bi = dom[d]; bi < dom[d + 1]; ++bi) {
-            symbolic_row(bi);
-          }
-        }
-      } else {
-#pragma omp for schedule(dynamic, 8)
-        for (std::size_t bi = 0; bi < nb_; ++bi) symbolic_row(bi);
-      }
-    }
-    pat.row_ptr.assign(nb_ + 1, 0);
-    for (std::size_t bi = 0; bi < nb_; ++bi) {
-      pat.row_ptr[bi + 1] = pat.row_ptr[bi] + ws.row_cols[bi].size();
-    }
-    pat.cols.resize(pat.row_ptr[nb_]);
-    for (std::size_t bi = 0; bi < nb_; ++bi) {
-      std::copy(ws.row_cols[bi].begin(), ws.row_cols[bi].end(),
-                pat.cols.begin() +
-                    static_cast<std::ptrdiff_t>(pat.row_ptr[bi]));
-    }
-    pat.a_fingerprint = pattern_fingerprint_;
-    pat.b_fingerprint = b.pattern_fingerprint_;
-    pat.valid = true;
-  } else {
-    ++ws.stats.numeric_reuses;
-  }
 
   // Numeric phase on the (frozen or just-built) pattern, fp32 throughout;
   // truncation thresholds stay fp64 quantities.
-  reset_workspace_f32(ws, nb_);
-  const float sub = static_cast<float>(sub_tile_drop);
+  reset_staging<float>(ws, nb_);
   const auto numeric_row = [&](std::size_t bi, std::vector<float>& acc)
       __attribute__((always_inline)) {
     const std::size_t di = row_dim(bi);
@@ -1990,51 +1777,24 @@ void BlockSparseMatrix::multiply_sym_f32_into(const BlockSparseMatrix& b,
     for (std::size_t pp = pat.row_ptr[bi]; pp < pe; ++pp) {
       const std::uint32_t bj = pat.cols[pp];
       float* tile = acc.data() + bs2 * bj;
-      const std::size_t dj = var ? dims_[bj] : bs_;
-      const std::size_t sz = di * dj;
-      if (sub_tile_drop > 0.0) {
-        for (std::size_t q = 0; q < sz; ++q) {
-          if (std::fabs(tile[q]) <= sub) tile[q] = 0.0f;
-        }
-      }
-      const double norm2 = linalg::tile_norm2_rect_f32(di, dj, tile);
-      const bool keep = var ? keep_tile_rect(norm2, sz, drop_tolerance)
-                            : keep_tile(norm2, bs_, drop_tolerance);
-      if (keep || (bj == bi && norm2 > 0.0)) {
+      const std::size_t sz = di * row_dim(bj);
+      if (keep_staged_tile(tile, di, row_dim(bj), !var, bj == bi,
+                           drop_tolerance, sub_tile_drop)) {
         cols.push_back(bj);
         vals.insert(vals.end(), tile, tile + sz);
       }
       std::fill(tile, tile + sz, 0.0f);
     }
   };
-  if (sharded) {
 #pragma omp parallel
-    {
-      const auto tid = static_cast<std::size_t>(par::thread_id());
-      std::vector<float>& acc = ws.acc32[tid];
-      if (acc.size() < nb_ * bs2) acc.assign(nb_ * bs2, 0.0f);
-#pragma omp for schedule(static, 1)
-      for (std::size_t d = 0; d < dom.size() - 1; ++d) {
-        for (std::size_t bi = dom[d]; bi < dom[d + 1]; ++bi) {
-          numeric_row(bi, acc);
-        }
-      }
-    }
-  } else {
-#pragma omp parallel
-    {
-      const auto tid = static_cast<std::size_t>(par::thread_id());
-      std::vector<float>& acc = ws.acc32[tid];
-      if (acc.size() < nb_ * bs2) acc.assign(nb_ * bs2, 0.0f);
-#pragma omp for schedule(dynamic, 8)
-      for (std::size_t bi = 0; bi < nb_; ++bi) numeric_row(bi, acc);
-    }
+  {
+    const auto tid = static_cast<std::size_t>(par::thread_id());
+    std::vector<float>& acc = ws.acc32[tid];
+    if (acc.size() < nb_ * bs2) acc.assign(nb_ * bs2, 0.0f);
+    for_each_row(ws.domains, nb_,
+                 [&](std::size_t bi) { numeric_row(bi, acc); });
   }
-  if (var) {
-    assemble_f32(dims_, ws, out, true);
-  } else {
-    assemble_f32(n_, bs_, ws, out, true);
-  }
+  assemble_staged<float>(n_, bs_, dims_, ws, out, true);
 }
 
 linalg::SpectralBounds BlockSparseMatrix::gershgorin_bounds() const {

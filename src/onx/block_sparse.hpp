@@ -34,14 +34,21 @@
 /// sweep stays on the per-tile lane-vector kernels.
 ///
 /// Pattern reuse.  multiply_sym_into() is split into a symbolic phase
-/// (Gustavson discovery of the output block pattern -- no flops) and a
-/// numeric phase (tile products + truncation on a known pattern).  The
-/// symbolic result can be cached in a BsrPattern keyed on fingerprints of
-/// the operand patterns: along an MD trajectory the bond topology -- and
-/// with it the whole chain of purification patterns -- is unchanged on the
-/// vast majority of steps, so steady-state steps re-run only the numeric
-/// phase on the frozen pattern.  Cold and warm paths execute the identical
-/// numeric sweep, so a warm result is bit-identical to a cold one.
+/// (discovery of the output block pattern -- no flops) and a numeric phase
+/// (tile products + truncation on a known pattern).  The symbolic phase is
+/// word-packed: each mirror-expanded row of B is a sorted list of
+/// (64-column word, bit mask) pairs, and an output row is the OR of its
+/// A-neighbours' lists restricted to J >= I -- the exact atom pattern at
+/// O(words) rather than O(atom triples) cost.  The symbolic result can be
+/// cached in a BsrPattern keyed on fingerprints of the operand patterns:
+/// along an MD trajectory the bond topology -- and with it the chain of
+/// purification patterns -- is unchanged on most steps, so those steps
+/// re-run only the numeric phase on the frozen pattern.  The operand
+/// structure the sweeps read (mirror-expanded adjacencies, B's word lists,
+/// the super-tile layout) is cached in the workspace the same way, tagged
+/// with the fingerprint of the pattern it came from.  Cold and warm paths
+/// execute the identical numeric sweep, so a warm result is bit-identical
+/// to a cold one.
 ///
 /// Threshold truncation acts on whole tiles: a tile is dropped when its
 /// Frobenius norm satisfies ||T||_F <= bs * tol, i.e. when its RMS entry
@@ -112,41 +119,67 @@ struct BsrShrinkPolicy {
 };
 
 /// Reusable scratch for BlockSparseMatrix::multiply_sym_into /
-/// combine_into: per-block-row staging buffers, the packed super-tiles and
-/// per-thread panels of the fp64 SpMM and the per-thread Gustavson
-/// accumulators of the fp32 SpMM, all with capacity that survives across
-/// calls, so a persistent workspace (e.g. owned by OrderNCalculator)
-/// makes the purification loop allocation-free in steady state.
+/// combine_into: per-block-row staging buffers, the cached operand
+/// structure, the packed super-tiles and per-thread panels of the fp64 SpMM
+/// and the per-thread accumulators of the symbolic phase and the fp32 SpMM,
+/// all with capacity that survives across calls, so a persistent workspace
+/// (e.g. owned by OrderNCalculator) makes the purification loop
+/// allocation-free in steady state.
 struct BsrWorkspace {
   std::vector<std::vector<std::uint32_t>> row_cols;
   std::vector<std::vector<double>> row_vals;
   /// fp32 staging rows (the kF32 sweeps stage here; empty in fp64 runs).
   std::vector<std::vector<float>> row_vals32;
-  // Per-thread fp32 SpMM scratch (indexed by omp thread id).  The row sweep
-  // restores acc32/hit to all-zeroes after every block row, so these only
+  // Per-thread scratch (indexed by omp thread id).  The row sweeps restore
+  // acc32 and sym_bits to all-zeroes after every block row, so these only
   // need zero-filling when they grow.
-  std::vector<std::vector<float>> acc32;
-  std::vector<std::vector<std::uint8_t>> hit;
-  std::vector<std::vector<std::uint32_t>> touched;
+  std::vector<std::vector<float>> acc32;            ///< fp32 tile accumulators
+  std::vector<std::vector<std::uint64_t>> sym_bits; ///< symbolic row bitmap
+  std::vector<std::vector<std::uint32_t>> sym_words;///< its nonzero words
+
+  /// The operand pattern a cached structure was built from.  Same validity
+  /// rule as BsrPattern: usable only while valid and fingerprint-equal.
+  struct PatternTag {
+    std::uint64_t fingerprint = 0;
+    bool valid = false;
+    [[nodiscard]] bool matches(std::uint64_t fp) const {
+      return valid && fingerprint == fp;
+    }
+  };
 
   /// Mirror-expanded adjacency of a half-stored operand (the full set of
   /// block neighbors per block row, each entry pointing at the stored
-  /// upper-half tile plus a transpose flag).  Rebuilt per multiply_sym_into
-  /// call in O(stored tiles); two slots cover the C = A * B case.  The
-  /// same structure describes the super-tile pattern of SuperTiles.
+  /// upper-half tile plus a transpose flag).  Built in O(stored tiles) and
+  /// rebuilt only when an operand of another pattern arrives; two slots
+  /// cover the C = A * B case (A shares B's slot when their patterns
+  /// agree).  The same structure describes the super-tile pattern of
+  /// SuperTiles.
   struct SymAdjacency {
     std::vector<std::size_t> ptr;      ///< nb + 1 row offsets
     std::vector<std::uint32_t> col;    ///< neighbor block column (sorted)
     std::vector<std::uint32_t> tile;   ///< stored-tile index in the operand
     std::vector<std::uint8_t> trans;   ///< 1: tile is the transposed mirror
     std::vector<std::size_t> fill;     ///< per-row build cursors (scratch)
+    PatternTag from;                   ///< operand pattern it describes
   };
   SymAdjacency adj_a, adj_b;
+
+  /// B's mirror-expanded rows for the word-packed symbolic phase: per block
+  /// row the sorted (word = column / 64, mask of columns in that word)
+  /// pairs.  Built on the first symbolic phase that meets B's pattern.
+  struct RowWords {
+    std::vector<std::size_t> ptr;      ///< nb + 1 row offsets
+    std::vector<std::uint32_t> word;   ///< 64-column word index (sorted)
+    std::vector<std::uint64_t> mask;   ///< columns present in the word
+    PatternTag from;                   ///< operand pattern it describes
+  };
+  RowWords words_b;
 
   /// The right operand of the fp64 SpMM at super-tile granularity: block
   /// rows grouped 8 at a time into super rows, a super-tile present when
   /// any of its atom tiles is.  Super-tiles at least half full (by scalar
-  /// area) are packed dense, once per call, for the GEMM path.
+  /// area) are packed dense for the GEMM path.  The structure is cached on
+  /// B's pattern; the values are re-packed on every call.
   struct SuperTiles {
     std::vector<std::size_t> off;      ///< ns + 1 scalar super-row offsets
     std::vector<std::size_t> ptr;      ///< ns + 1 upper super-tile offsets
@@ -155,6 +188,7 @@ struct BsrWorkspace {
     std::vector<double> vals;          ///< packed super-tiles, row-major
     std::vector<std::uint32_t> mark;   ///< per-super-column stamps (scratch)
     SymAdjacency adj;                  ///< mirror-expanded super pattern
+    PatternTag from;                   ///< B pattern the structure describes
   };
   SuperTiles super_b;
 
@@ -180,7 +214,7 @@ struct BsrWorkspace {
   /// step must be all `numeric_reuses` -- the CI/tests assert warm steps
   /// perform zero symbolic-phase work through these counters.
   struct SpmmStats {
-    std::size_t symbolic_builds = 0;  ///< Gustavson pattern discoveries
+    std::size_t symbolic_builds = 0;  ///< output pattern discoveries
     std::size_t numeric_reuses = 0;   ///< frozen-pattern numeric-only runs
   };
   SpmmStats stats;
@@ -389,6 +423,19 @@ class BlockSparseMatrix {
                     double drop_tolerance, BlockSparseMatrix& out,
                     BsrWorkspace& ws, double sub_tile_drop = 0.0) const;
 
+  /// One-pass three-term update: bit-identical to the two-pass composition
+  ///   combine_into(alpha, b, beta, drop_tolerance, tmp, ws);
+  ///   tmp.combine_into(1.0, c, gamma, drop_tolerance, out, ws);
+  /// (the intermediate's truncation and, on kF32 tiles, its rounding
+  /// applied inline) without materializing tmp -- the Palser-Manolopoulos
+  /// update [(1-2c) P + (1+c) P^2 - P^3] / (1-c) in one sweep over the
+  /// union of the three patterns.  The result is staged in `ws` and
+  /// assembled after every operand read, so `out` may alias any operand.
+  void combine3_into(double alpha, const BlockSparseMatrix& b, double beta,
+                     const BlockSparseMatrix& c, double gamma,
+                     double drop_tolerance, BlockSparseMatrix& out,
+                     BsrWorkspace& ws) const;
+
   /// Symmetric-half product C = this * b (both operands and the result
   /// half-stored; this and b must commute so that C is symmetric).  Only
   /// the upper block triangle of C is computed -- half the flops of a
@@ -464,22 +511,31 @@ class BlockSparseMatrix {
   [[nodiscard]] std::size_t find_block_index(std::size_t bi,
                                              std::size_t bj) const;
 
-  /// kF32 twins of combine_into / multiply_sym_into (separate functions so
-  /// the fp64 sweeps' codegen cannot drift -- the PR 6 lesson).
-  void combine_f32_into(double alpha, const BlockSparseMatrix& b, double beta,
-                        double drop_tolerance, double sub_tile_drop,
-                        BlockSparseMatrix& out, BsrWorkspace& ws) const;
-  void multiply_sym_f32_into(const BlockSparseMatrix& b, double drop_tolerance,
-                             double sub_tile_drop, bool simd,
-                             BlockSparseMatrix& out, BsrWorkspace& ws,
-                             BsrPattern* pattern) const;
+  /// The tile-union sweep behind combine_into (c == nullptr) and
+  /// combine3_into, on tile scalar type T (double: kF64, float: kF32).
+  template <class T>
+  void combine_sweep(double alpha, const BlockSparseMatrix& b, double beta,
+                     const BlockSparseMatrix* c, double gamma,
+                     double drop_tolerance, double sub_tile_drop,
+                     BlockSparseMatrix& out, BsrWorkspace& ws) const;
 
-  /// bsr_assemble twins reading ws.row_vals32 into val32_.
-  static void assemble_f32(std::size_t n, std::size_t bs, BsrWorkspace& ws,
-                           BlockSparseMatrix& out, bool symmetric_half);
-  static void assemble_f32(const std::vector<std::uint32_t>& dims,
-                           BsrWorkspace& ws, BlockSparseMatrix& out,
-                           bool symmetric_half);
+  /// The kF32 numeric phase of multiply_sym_into on the per-tile
+  /// lane-vector kernels (the fp64 phase runs super-tile panels).
+  void multiply_sym_f32_into(const BlockSparseMatrix& b,
+                             const BsrWorkspace::SymAdjacency& adj_a,
+                             const BsrWorkspace::SymAdjacency& adj_b,
+                             const BsrPattern& pat, double drop_tolerance,
+                             double sub_tile_drop, bool simd,
+                             BlockSparseMatrix& out, BsrWorkspace& ws) const;
+
+  /// Set `out`'s structure and T payloads from the staging rows of `ws`
+  /// (uniform n / bs tiles when `dims` is empty, else the variable layout
+  /// `dims`; bs is ignored then).
+  template <class T>
+  static void assemble_staged(std::size_t n, std::size_t bs,
+                              const std::vector<std::uint32_t>& dims,
+                              BsrWorkspace& ws, BlockSparseMatrix& out,
+                              bool symmetric_half);
 
   std::size_t n_ = 0;       ///< scalar dimension
   std::size_t bs_ = 1;      ///< uniform tile edge (0: variable mode)

@@ -9,6 +9,27 @@
 
 namespace tbmd::onx {
 
+namespace {
+
+/// The trace-conserving Palser-Manolopoulos step on ws.p from ws.p2 and
+/// ws.p3, in one pass either way (ws.tmp stays untouched).
+void pm_update(double c, double drop, PurificationWorkspace& ws) {
+  if (c >= 0.5) {
+    // P <- [(1+c) P^2 - P^3] / c
+    ws.p2.combine_into((1.0 + c) / c, ws.p3, -1.0 / c, drop, ws.p,
+                       ws.scratch);
+  } else {
+    // P <- [(1-2c) P + (1+c) P^2 - P^3] / (1-c): the one-pass form of
+    // tmp = (1-2c)/(1-c) P + (1+c)/(1-c) P^2, P = tmp - P^3 / (1-c),
+    // bit-identical to the two passes.
+    ws.p.combine3_into((1.0 - 2.0 * c) / (1.0 - c), ws.p2,
+                       (1.0 + c) / (1.0 - c), ws.p3, -1.0 / (1.0 - c), drop,
+                       ws.p, ws.scratch);
+  }
+}
+
+}  // namespace
+
 PurificationResult palser_manolopoulos(const BlockSparseMatrix& h,
                                        int n_occupied,
                                        const PurificationOptions& options,
@@ -124,15 +145,7 @@ PurificationResult palser_manolopoulos(const BlockSparseMatrix& h,
       // a threshold/iteration-cap promotion still takes this step's
       // update with it.
       if (std::isfinite(c) && trig != PromotionTrigger::kStagnation) {
-        if (c >= 0.5) {
-          ws.p2.combine_into((1.0 + c) / c, ws.p3, -1.0 / c, drop, ws.p,
-                             ws.scratch);
-        } else {
-          ws.p.combine_into((1.0 - 2.0 * c) / (1.0 - c), ws.p2,
-                            (1.0 + c) / (1.0 - c), drop, ws.tmp, ws.scratch);
-          ws.tmp.combine_into(1.0, ws.p3, -1.0 / (1.0 - c), drop, ws.p,
-                              ws.scratch);
-        }
+        pm_update(c, drop, ws);
       }
       if (trig != PromotionTrigger::kNone) {
         ws.p.convert_precision(TilePrecision::kF64);
@@ -166,17 +179,7 @@ PurificationResult palser_manolopoulos(const BlockSparseMatrix& h,
     const double c = (tr_p2 - tr_p3) / idem;
     if (!std::isfinite(c)) break;
 
-    if (c >= 0.5) {
-      // P <- [(1+c) P^2 - P^3] / c   (P is not an operand: write directly)
-      ws.p2.combine_into((1.0 + c) / c, ws.p3, -1.0 / c, drop, ws.p,
-                         ws.scratch);
-    } else {
-      // P <- [(1-2c) P + (1+c) P^2 - P^3] / (1-c)
-      ws.p.combine_into((1.0 - 2.0 * c) / (1.0 - c), ws.p2,
-                        (1.0 + c) / (1.0 - c), drop, ws.tmp, ws.scratch);
-      ws.tmp.combine_into(1.0, ws.p3, -1.0 / (1.0 - c), drop, ws.p,
-                          ws.scratch);
-    }
+    pm_update(c, drop, ws);
   }
 
   // An fp32 phase that exhausted max_iterations hands back fp64 anyway:

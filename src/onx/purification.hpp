@@ -20,7 +20,9 @@
 /// cached in the workspace PatternCache keyed on operand-pattern
 /// fingerprints: along an MD trajectory the bond topology is unchanged on
 /// almost every step, so steady-state steps re-run only the numeric phase
-/// on frozen patterns (bit-identical to a cold run).
+/// on frozen patterns (bit-identical to a cold run).  Each iteration's
+/// trace-conserving update is one combine pass over the union of the P,
+/// P^2 and P^3 patterns (combine3_into), written over P in place.
 
 #include <cstdint>
 
@@ -136,6 +138,8 @@ struct PatternCache {
 /// at steady-state capacity, so the per-step loop performs no allocation
 /// beyond the density matrix handed back in the result.
 struct PurificationWorkspace {
+  /// P and its powers.  tmp is the SP2 loop's swap buffer; the
+  /// Palser-Manolopoulos and grand-canonical loops never touch it.
   BlockSparseMatrix p, p2, p3, tmp;
   /// Identity operand of the initial linear map, rebuilt only when the
   /// problem size or block size changes.
