@@ -135,7 +135,22 @@ void BM_BlockedTridiag(benchmark::State& state) {
     benchmark::DoNotOptimize(linalg::blocked_tridiagonalize(a));
   }
 }
-BENCHMARK(BM_BlockedTridiag)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BlockedTridiag)->Arg(128)->Arg(256)->Arg(800)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_TridiagValues(benchmark::State& state) {
+  // Values-only QL (the root-free path of tql_implicit_shift) on the
+  // tridiagonal of a random symmetric matrix, at the tube's n = 800.
+  const auto fact =
+      linalg::blocked_tridiagonalize(random_symmetric(state.range(0), 5));
+  for (auto _ : state) {
+    std::vector<double> d = fact.d;
+    std::vector<double> e = fact.e;
+    linalg::tql_implicit_shift(d, e, nullptr);
+    benchmark::DoNotOptimize(d.data());
+  }
+}
+BENCHMARK(BM_TridiagValues)->Arg(800)->Unit(benchmark::kMillisecond);
 
 void BM_ApplyQ(benchmark::State& state) {
   // The partial-spectrum back-transform Z <- Q Z at the shape of the

@@ -44,29 +44,20 @@ inline void unflatten_tile_pair(std::size_t t, std::size_t& ti,
   tj = t - ti * (ti + 1) / 2;
 }
 
-/// Shared driver of syrk_lower / syr2k_lower: one panel product per
-/// lower-triangle tile pair (I, J) and contraction slab,
-///   C_IJ += X_I * (alpha Y_J)^T,   X = [A B],  Y = [B A],
-/// over the first kk of the 2k concatenated columns: kk = 2k is the rank-2k
-/// update in one product (each C tile read and written once), kk = k with
-/// B = A is syrk.  X_I and alpha Y_J^T are packed per task into per-thread
-/// buffers of kTile x kSlab.  Each C element belongs to exactly one task and
-/// sums its whole contraction in order, so the result does not depend on
-/// the thread count.
-void rank_k_lower(std::size_t n, std::size_t k, std::size_t kk, double alpha,
-                  const double* a, std::size_t lda, const double* b,
-                  std::size_t ldb, double* c, std::size_t ldc) {
-  if (n == 0 || kk == 0 || alpha == 0.0) return;
-  const auto x = [&](std::size_t i, std::size_t q) {
-    return q < k ? a[lda * i + q] : b[ldb * i + q - k];
-  };
-  const auto y = [&](std::size_t i, std::size_t q) {
-    return q < k ? b[ldb * i + q] : a[lda * i + q - k];
-  };
+}  // namespace
+
+/// One panel product per lower-triangle tile pair (I, J) and contraction
+/// slab, C_IJ += A_I * (alpha A_J)^T.  A_I and alpha A_J^T are packed per
+/// task into per-thread buffers of kTile x kSlab.  Each C element belongs
+/// to exactly one task and sums its whole contraction in order, so the
+/// result does not depend on the thread count.
+void syrk_lower(std::size_t n, std::size_t k, double alpha, const double* a,
+                std::size_t lda, double* c, std::size_t ldc) {
+  if (n == 0 || k == 0 || alpha == 0.0) return;
   const std::size_t nt = (n + kTile - 1) / kTile;
   const std::size_t npairs = nt * (nt + 1) / 2;
-  const std::size_t slab = std::min(kk, kSlab);
-  const bool par = par::worth_parallelizing(n * n / 2, kk);
+  const std::size_t slab = std::min(k, kSlab);
+  const bool par = par::worth_parallelizing(n * n / 2, k);
   std::vector<double> pack = pack_space(par, 2 * kTile * slab);
 #pragma omp parallel if (par)
   {
@@ -80,15 +71,15 @@ void rank_k_lower(std::size_t n, std::size_t k, std::size_t kk, double alpha,
       unflatten_tile_pair(t, ti, tj);
       const std::size_t i0 = ti * kTile, mi = std::min(kTile, n - i0);
       const std::size_t j0 = tj * kTile, nj = std::min(kTile, n - j0);
-      for (std::size_t q0 = 0; q0 < kk; q0 += slab) {
-        const std::size_t ks = std::min(slab, kk - q0);
+      for (std::size_t q0 = 0; q0 < k; q0 += slab) {
+        const std::size_t ks = std::min(slab, k - q0);
         for (std::size_t i = 0; i < mi; ++i) {
-          for (std::size_t q = 0; q < ks; ++q) xp[ks * i + q] = x(i0 + i, q0 + q);
+          const double* ai = a + lda * (i0 + i) + q0;
+          std::copy(ai, ai + ks, xp + ks * i);
         }
         for (std::size_t j = 0; j < nj; ++j) {
-          for (std::size_t q = 0; q < ks; ++q) {
-            yt[nj * q + j] = alpha * y(j0 + j, q0 + q);
-          }
+          const double* aj = a + lda * (j0 + j) + q0;
+          for (std::size_t q = 0; q < ks; ++q) yt[nj * q + j] = alpha * aj[q];
         }
         double* ct = c + ldc * i0 + j0;
         if (ti != tj) {
@@ -114,6 +105,8 @@ void rank_k_lower(std::size_t n, std::size_t k, std::size_t kk, double alpha,
     }
   }
 }
+
+namespace {
 
 /// Scale the lower triangle of C by beta (the symmetric kernels never read
 /// the upper triangle; it is overwritten by the final mirror).
@@ -184,17 +177,6 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void syrk_lower(std::size_t n, std::size_t k, double alpha, const double* a,
-                std::size_t lda, double* c, std::size_t ldc) {
-  rank_k_lower(n, k, k, alpha, a, lda, a, lda, c, ldc);
-}
-
-void syr2k_lower(std::size_t n, std::size_t k, double alpha, const double* a,
-                 std::size_t lda, const double* b, std::size_t ldb, double* c,
-                 std::size_t ldc) {
-  rank_k_lower(n, k, 2 * k, alpha, a, lda, b, ldb, c, ldc);
-}
-
 void gemm_panel_add(std::size_t m, std::size_t k, std::size_t n,
                     const double* a, std::size_t lda, const double* b,
                     std::size_t ldb, double* c, std::size_t ldc) {
@@ -218,18 +200,6 @@ void syrk(double alpha, const Matrix& a, double beta, Matrix& c) {
   TBMD_REQUIRE(c.rows() == n && c.cols() == n, "syrk: C must be n x n");
   scale_lower(beta, c);
   syrk_lower(n, a.cols(), alpha, a.data(), a.cols(), c.data(), n);
-  mirror_lower(c);
-}
-
-void syr2k(double alpha, const Matrix& a, const Matrix& b, double beta,
-           Matrix& c) {
-  const std::size_t n = a.rows();
-  TBMD_REQUIRE(b.rows() == n && b.cols() == a.cols(),
-               "syr2k: A and B must have the same shape");
-  TBMD_REQUIRE(c.rows() == n && c.cols() == n, "syr2k: C must be n x n");
-  scale_lower(beta, c);
-  syr2k_lower(n, a.cols(), alpha, a.data(), a.cols(), b.data(), b.cols(),
-              c.data(), n);
   mirror_lower(c);
 }
 

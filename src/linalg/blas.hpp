@@ -4,10 +4,9 @@
 /// \brief BLAS-like dense kernels (OpenMP-parallel where profitable).
 ///
 /// These are the building blocks the electronic-structure layer leans on:
-/// GEMM for general products, SYRK/SYR2K rank-k updates for the density
-/// matrix (rho = B B^T) and the blocked tridiagonalization's trailing
-/// update, GEMV/SYMV for iterative methods, and a handful of level-1
-/// helpers.  Every level-3 product runs on one register-blocked kernel,
+/// GEMM for general products, the SYRK rank-k update for the density
+/// matrix (rho = B B^T), GEMV for iterative methods, and a handful of
+/// level-1 helpers.  Every level-3 product runs on one register-blocked kernel,
 /// gemm_panel_add: the drivers in blas.cpp cut C into 64 x 64 tiles, pack
 /// per tile the operand panels the kernel needs (per-thread buffers of at
 /// most 2 x 64 x 128 doubles), and never split a contraction across threads,
@@ -34,28 +33,17 @@ void gemm_accumulate(double alpha, const Matrix& a, const Matrix& b, Matrix& c);
 /// tiles), then mirrored, so C is exactly symmetric on return.
 void syrk(double alpha, const Matrix& a, double beta, Matrix& c);
 
-/// Symmetric rank-2k update C = alpha * (A * B^T + B * A^T) + beta * C with
-/// A and B both n x k; C must be n x n.  Exactly symmetric on return.
-void syr2k(double alpha, const Matrix& a, const Matrix& b, double beta,
-           Matrix& c);
-
 /// Raw-pointer building block of syrk: accumulate the lower triangle only,
 ///   C(i, j) += alpha * sum_c A(i, c) * A(j, c)   for 0 <= j <= i < n,
-/// with leading dimensions lda/ldc.  Lets callers (blocked_tridiag) update
-/// a trailing submatrix in place without copying it out.
+/// with leading dimensions lda/ldc, updating a submatrix in place.
 void syrk_lower(std::size_t n, std::size_t k, double alpha, const double* a,
                 std::size_t lda, double* c, std::size_t ldc);
-
-/// Raw-pointer building block of syr2k: lower triangle only,
-///   C(i, j) += alpha * sum_c [A(i, c) * B(j, c) + B(i, c) * A(j, c)].
-void syr2k_lower(std::size_t n, std::size_t k, double alpha, const double* a,
-                 std::size_t lda, const double* b, std::size_t ldb, double* c,
-                 std::size_t ldc);
 
 /// Dense panel product C += A * B with A m x k, B k x n and C m x n, all
 /// row-major with leading dimensions lda / ldb / ldc.  The kernel of the
 /// super-tile SpMM in src/onx and of every dense level-3 product (GEMM,
-/// SYRK/SYR2K, the WY back-transform apply_q): a register-blocked body (a
+/// SYRK, the tridiagonal reduction's trailing update, the WY back-transform
+/// apply_q): a register-blocked body (a
 /// block of C rows times two SIMD vectors of C columns held in registers
 /// across the whole k loop) plus narrower remainder blocks, so any
 /// (m, k, n) runs -- the 32 x 32 sp super-tiles, the Sigma-dims super-tiles

@@ -9,16 +9,21 @@
 /// This module is the LAPACK SYTRD/LATRD counterpart: within a panel of
 /// `block` columns only the current column is updated, the per-reflector
 /// couplings are accumulated into an auxiliary W panel, and the trailing
-/// submatrix receives one symmetric rank-2k update per panel (syr2k_lower:
-/// one panel product of contraction length 2 x block per tile).  The
-/// column-by-column panel work -- the symv with the panel's pending-update
-/// sums folded into its row sweep, and one row sweep per column that writes
-/// W and updates the next column -- is threaded over fixed row ranges.
+/// submatrix receives one symmetric rank-2k update per panel (panel
+/// products [V W] * -[W V]^T on gemm_panel_add).  The reduction is
+/// owner-computes: one OpenMP region per call, each 16-row chunk of the
+/// matrix (with its rows of W) owned by one thread for the whole call, and
+/// that thread does every phase that touches its rows -- the reflector
+/// column's squared norm and scaling, the symv row with the panel sums
+/// W^T v and V^T v, the W row and next-column update, and its rows of the
+/// trailing update -- so each row stays in one core's L2.  Per-thread
+/// partials are combined in thread order behind two barriers per column
+/// (three at a panel's end): bit-identical results at a fixed team size.
 /// The reflectors are kept in factored form so eigenvector back-transforms
 /// can be applied as compact WY blocks -- panel products V^T Z and
 /// Z - V (T V^T Z) on the register-blocked gemm_panel_add -- instead of
-/// one Givens rotation at a time.  What stays bandwidth-bound is the symv,
-/// about half of the reduction at N = 800.
+/// one Givens rotation at a time.  What stays level-2 is the symv, about
+/// half of the reduction at N = 800.
 
 #include <cstddef>
 #include <vector>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "src/linalg/eigen_partial.hpp"
@@ -15,6 +16,134 @@ namespace {
 /// Minimum (sub)matrix dimension before the Householder update loops are
 /// worth forking threads for.
 constexpr std::size_t kParallelCutoff = 96;
+
+/// Eigenvalues of the symmetric 2 x 2 [[a, b], [b, c]] (LAPACK dlae2):
+/// rt1 is the one of larger absolute value, and the smaller one is formed
+/// from the determinant so it keeps full relative accuracy.
+void eig2x2(double a, double b, double c, double& rt1, double& rt2) {
+  const double sm = a + c;
+  const double adf = std::fabs(a - c);
+  const double ab = std::fabs(b + b);
+  const double acmx = std::fabs(a) > std::fabs(c) ? a : c;
+  const double acmn = std::fabs(a) > std::fabs(c) ? c : a;
+  double rt;
+  if (adf > ab) {
+    rt = adf * std::sqrt(1.0 + (ab / adf) * (ab / adf));
+  } else if (adf < ab) {
+    rt = ab * std::sqrt(1.0 + (adf / ab) * (adf / ab));
+  } else {
+    rt = ab * std::sqrt(2.0);  // includes ab = adf = 0
+  }
+  if (sm == 0.0) {
+    rt1 = 0.5 * rt;
+    rt2 = -0.5 * rt;
+    return;
+  }
+  rt1 = sm < 0.0 ? 0.5 * (sm - rt) : 0.5 * (sm + rt);
+  rt2 = (acmx / rt1) * acmn - (b / rt1) * b;
+}
+
+/// Eigenvalues of the tridiagonal with diagonal d and couplings e (e[i]
+/// couples d[i] and d[i+1], e[n-1] unused) by the root-free QL iteration of
+/// Pal, Walker and Kahan, as in LAPACK dsterf.  The sweep runs on squared
+/// couplings, so a rotation costs two divisions and no square root.  Each
+/// unreduced block is first scaled so that its largest entry lies in
+/// [sqrt(safmin) / eps^2, sqrt(safmax) / 3], which keeps the squares from
+/// overflowing and the significant ones from underflowing; blocks whose
+/// bottom entry is the smaller are reversed so the iteration deflates the
+/// small end first (dsterf's QR branch); 2 x 2 blocks are solved in closed
+/// form.
+void pwk_values(std::vector<double>& d, std::vector<double>& e) {
+  const std::size_t n = d.size();
+  constexpr double eps = std::numeric_limits<double>::epsilon() / 2;
+  constexpr double eps2 = eps * eps;
+  constexpr double safmin = std::numeric_limits<double>::min();
+  const double ssfmax = std::sqrt(1.0 / safmin) / 3.0;
+  const double ssfmin = std::sqrt(safmin) / eps2;
+  const std::size_t max_sweeps = 30 * n;
+  std::size_t sweeps = 0;
+
+  for (std::size_t l1 = 0; l1 < n;) {
+    // Split off the next unreduced block [first, last].
+    const std::size_t first = l1;
+    std::size_t last = first;
+    while (last + 1 < n &&
+           std::fabs(e[last]) >
+               std::sqrt(std::fabs(d[last])) * std::sqrt(std::fabs(d[last + 1])) * eps) {
+      ++last;
+    }
+    if (last + 1 < n) e[last] = 0.0;
+    l1 = last + 1;
+    if (last == first) continue;
+
+    double anorm = 0.0;
+    for (std::size_t i = first; i <= last; ++i) {
+      anorm = std::max(anorm, std::fabs(d[i]));
+      if (i < last) anorm = std::max(anorm, std::fabs(e[i]));
+    }
+    if (anorm == 0.0) continue;
+    const double target = anorm > ssfmax ? ssfmax : anorm < ssfmin ? ssfmin : anorm;
+    const double scale = target / anorm;
+    for (std::size_t i = first; i <= last; ++i) {
+      d[i] *= scale;
+      if (i < last) e[i] = (e[i] * scale) * (e[i] * scale);
+    }
+    if (std::fabs(d[last]) < std::fabs(d[first])) {
+      std::reverse(d.begin() + static_cast<std::ptrdiff_t>(first),
+                   d.begin() + static_cast<std::ptrdiff_t>(last) + 1);
+      std::reverse(e.begin() + static_cast<std::ptrdiff_t>(first),
+                   e.begin() + static_cast<std::ptrdiff_t>(last));
+    }
+
+    for (std::size_t l = first; l <= last;) {
+      std::size_t m = l;
+      while (m < last && std::fabs(e[m]) > eps2 * std::fabs(d[m] * d[m + 1])) ++m;
+      if (m < last) e[m] = 0.0;
+      if (m == l) {  // d[l] has converged
+        ++l;
+        continue;
+      }
+      if (m == l + 1) {
+        double rt1, rt2;
+        eig2x2(d[l], std::sqrt(e[l]), d[l + 1], rt1, rt2);
+        d[l] = rt1;
+        d[l + 1] = rt2;
+        e[l] = 0.0;
+        l += 2;
+        continue;
+      }
+      TBMD_REQUIRE(sweeps++ < max_sweeps, "tql: QL iteration did not converge");
+
+      // Wilkinson-type shift from the leading 2 x 2, then one bulge chase
+      // from m-1 up to l on the squared couplings.
+      const double rte = std::sqrt(e[l]);
+      double sigma = (d[l + 1] - d[l]) / (2.0 * rte);
+      sigma = d[l] - rte / (sigma + std::copysign(std::hypot(sigma, 1.0), sigma));
+      double c = 1.0, s = 0.0;
+      double gamma = d[m] - sigma;
+      double p = gamma * gamma;
+      for (std::size_t i = m; i-- > l;) {
+        const double bb = e[i];
+        const double r = p + bb;
+        if (i + 1 != m) e[i + 1] = s * r;
+        const double oldc = c;
+        c = p / r;
+        s = bb / r;
+        const double oldgam = gamma;
+        const double alpha = d[i];
+        gamma = c * (alpha - sigma) - s * oldgam;
+        d[i + 1] = oldgam + (alpha - gamma);
+        p = c != 0.0 ? (gamma * gamma) / c : oldc * bb;
+      }
+      e[l] = s * p;
+      d[l] = sigma + gamma;
+    }
+    if (scale != 1.0) {
+      const double unscale = anorm / target;
+      for (std::size_t i = first; i <= last; ++i) d[i] *= unscale;
+    }
+  }
+}
 
 }  // namespace
 
@@ -128,6 +257,10 @@ void tql_implicit_shift(std::vector<double>& d, std::vector<double>& e,
   // Shift the subdiagonal down by one: e[i] couples d[i] and d[i+1].
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
+  if (z == nullptr) {
+    pwk_values(d, e);
+    return;
+  }
 
   // Scratch for deferred rotation application (thread-parallel over rows).
   std::vector<double> sines, cosines;
@@ -155,17 +288,12 @@ void tql_implicit_shift(std::vector<double>& d, std::vector<double>& e,
         cosines.clear();
         bool underflow = false;
 
-        // Chase the bulge from m-1 down to l; with eigenvectors, record the
-        // rotations so they can be applied to the rows in parallel after.
+        // Chase the bulge from m-1 down to l, recording the rotations so
+        // they can be applied to the rows in parallel after.
         for (std::size_t ii = m; ii-- > l;) {
           double f = s * e[ii];
           const double b = c * e[ii];
-          // sqrt(f^2 + g^2) costs a fraction of std::hypot; inside
-          // [2^-450, 2^450] neither square overflows, and one small enough
-          // to underflow is below half an ulp of the other.
-          const double big = std::max(std::fabs(f), std::fabs(g));
-          r = big > 0x1p-450 && big < 0x1p450 ? std::sqrt(f * f + g * g)
-                                              : std::hypot(f, g);
+          r = std::hypot(f, g);
           e[ii + 1] = r;
           if (r == 0.0) {
             // Deflate without finishing the sweep.
@@ -181,13 +309,11 @@ void tql_implicit_shift(std::vector<double>& d, std::vector<double>& e,
           p = s * r;
           d[ii + 1] = g + p;
           g = c * r - b;
-          if (z != nullptr) {
-            sines.push_back(s);
-            cosines.push_back(c);
-          }
+          sines.push_back(s);
+          cosines.push_back(c);
         }
 
-        if (z != nullptr && !sines.empty()) {
+        if (!sines.empty()) {
           // Rotation q (q = 0 first recorded) acts on columns (i, i+1) with
           // i = m-1-q.  For a fixed row the column updates chain
           // sequentially, but rows are independent -> parallel over rows.

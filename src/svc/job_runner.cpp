@@ -218,13 +218,17 @@ std::vector<JobResult> JobRunner::run() {
       options_.step_budget >= 0 ? &budget : nullptr;
   std::mutex log_mutex;
 
+  const int workers = std::max(
+      1, std::min(options_.workers, static_cast<int>(jobs_.size())));
+  // Team size of every worker: the ambient team split across the workers
+  // unless the options pin it.  Each worker pins its own jobs
+  // (omp_set_num_threads is a per-calling-thread ICV), so the workers do
+  // not race one another.
+  const int ambient_threads =
+      par::thread_budget(par::max_threads(), workers, options_.threads);
+
   const auto worker = [&]() {
     WorkerContext ctx;
-    // Ambient team size captured once per worker: omp_set_num_threads is
-    // a per-calling-thread ICV, so each worker thread pins its own jobs
-    // without racing the others.
-    const int ambient_threads =
-        options_.threads > 0 ? options_.threads : par::max_threads();
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= jobs_.size()) return;
@@ -283,8 +287,6 @@ std::vector<JobResult> JobRunner::run() {
     }
   };
 
-  const int workers = std::max(
-      1, std::min(options_.workers, static_cast<int>(jobs_.size())));
   if (workers == 1) {
     worker();
   } else {

@@ -50,7 +50,8 @@ struct SweepOptions {
   /// (< 0 = unlimited).  Used to force mid-sweep preemption.
   long step_budget = -1;
   /// OpenMP threads each worker pins for jobs without their own `threads`
-  /// key (0 = the process-wide default).  Set explicitly rather than via
+  /// key (0 = the process-wide default team split evenly across the
+  /// workers, par::thread_budget).  Set explicitly rather than via
   /// omp_set_num_threads() in the caller: that call only changes the
   /// calling thread's ICV and would not reach the runner's std::thread
   /// workers.

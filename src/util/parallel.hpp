@@ -67,6 +67,16 @@ inline void set_num_threads(int n) {
 #endif
 }
 
+/// OpenMP threads for each of `workers` concurrent workers on `cores` cores:
+/// an explicit request (> 0) wins, otherwise the cores are split evenly,
+/// at least one thread each, so the workers never oversubscribe the cores.
+[[nodiscard]] inline constexpr int thread_budget(int cores, int workers,
+                                                 int requested) {
+  if (requested > 0) return requested;
+  const int per_worker = cores / (workers > 1 ? workers : 1);
+  return per_worker > 1 ? per_worker : 1;
+}
+
 /// Heuristic: parallelize a loop only when the trip count times the unit
 /// cost estimate is worth the fork-join overhead.
 [[nodiscard]] inline bool worth_parallelizing(std::size_t trip_count,

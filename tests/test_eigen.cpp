@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/linalg/blas.hpp"
+#include "src/linalg/eigen_partial.hpp"
 #include "src/linalg/eigen_sym.hpp"
 #include "src/linalg/jacobi.hpp"
 #include "src/linalg/tridiagonal.hpp"
@@ -231,6 +234,179 @@ TEST(Householder, SturmCountConsistentWithFinalEigenvalues) {
     std::size_t expected = 0;
     for (const double v : vals) expected += (v < probe);
     EXPECT_EQ(sturm_count(d, e, probe), expected) << "probe = " << probe;
+  }
+}
+
+// --- values-only QL (root-free Pal-Walker-Kahan) ----------------------------
+
+/// A symmetric tridiagonal as d and e (e[i] = T(i, i-1), e[0] = 0).
+struct Tridiag {
+  std::vector<double> d, e;
+};
+
+/// Ascending eigenvalues of the values-only QL path.
+std::vector<double> pwk_values(const Tridiag& t) {
+  std::vector<double> d = t.d, e = t.e;
+  tql_implicit_shift(d, e, nullptr);
+  std::sort(d.begin(), d.end());
+  return d;
+}
+
+Matrix dense(const Tridiag& t) {
+  const std::size_t n = t.d.size();
+  Matrix a(n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    a(i, i) = t.d[i];
+    if (i > 0) {
+      a(i, i - 1) = t.e[i];
+      a(i - 1, i) = t.e[i];
+    }
+  }
+  return a;
+}
+
+double norm_max(const Tridiag& t) {
+  double m = 0.0;
+  for (std::size_t i = 0; i < t.d.size(); ++i) {
+    m = std::max({m, std::fabs(t.d[i]), std::fabs(t.e[i])});
+  }
+  return m;
+}
+
+/// The PWK values against the eigenvector QL (eigh_ql) and Sturm bisection,
+/// to a few n eps ||T||.
+void expect_matches_references(const Tridiag& t, const char* what) {
+  const std::size_t n = t.d.size();
+  const std::vector<double> got = pwk_values(t);
+  const std::vector<double> ql = eigh_ql(dense(t)).values;
+  const std::vector<double> bis =
+      tridiagonal_eigenvalues_range(t.d, t.e, 0, n - 1);
+  const double tol = 8.0 * static_cast<double>(n + 1) *
+                     std::numeric_limits<double>::epsilon() * norm_max(t);
+  ASSERT_EQ(got.size(), n) << what;
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_NEAR(got[k], ql[k], tol) << what << " k=" << k;
+    EXPECT_NEAR(got[k], bis[k], tol) << what << " k=" << k;
+  }
+}
+
+TEST(PwkQl, TrivialSizes) {
+  expect_matches_references({{2.5}, {0.0}}, "n=1");
+  expect_matches_references({{1.0, -3.0}, {0.0, 0.5}}, "n=2");
+  expect_matches_references({{4.0, 4.0}, {0.0, 1e-3}}, "n=2 equal diagonal");
+  expect_matches_references({{0.0, 0.0}, {0.0, 2.0}}, "n=2 zero diagonal");
+  // Closed form: [[a, b], [b, c]].
+  const std::vector<double> v = pwk_values({{1.0, 3.0}, {0.0, 1.0}});
+  EXPECT_NEAR(v[0], 2.0 - std::sqrt(2.0), 1e-15);
+  EXPECT_NEAR(v[1], 2.0 + std::sqrt(2.0), 1e-15);
+}
+
+TEST(PwkQl, SplitTridiagonalWithZeroCouplings) {
+  // Three blocks (sizes 4, 1, 3) with exact zeros between them, and an
+  // exact eigenvalue repeated across blocks.
+  Tridiag t{{1.0, 2.0, -1.0, 0.5, 7.0, 1.0, 2.0, -1.0},
+            {0.0, 0.3, -0.7, 1.1, 0.0, 0.0, 0.3, -0.7}};
+  expect_matches_references(t, "split");
+  // Fully diagonal: eigenvalues are the diagonal, bit for bit.
+  Tridiag diag{{3.0, -2.0, 5.0, 0.0, -2.0}, {0.0, 0.0, 0.0, 0.0, 0.0}};
+  std::vector<double> want = diag.d;
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(pwk_values(diag), want);
+}
+
+TEST(PwkQl, ChainOfTwoByTwoBlocks) {
+  // Decoupled 2 x 2 blocks, each solved in closed form.
+  Tridiag t;
+  for (int b = 0; b < 6; ++b) {
+    t.d.push_back(0.5 * b);
+    t.d.push_back(-1.0 + b);
+    t.e.push_back(0.0);
+    t.e.push_back(0.25 + 0.1 * b);
+  }
+  expect_matches_references(t, "2x2 blocks");
+}
+
+TEST(PwkQl, WilkinsonW21Plus) {
+  // W21+: d = |10 - i|, e = 1.  Its top eigenvalue pairs agree to ~1e-14
+  // and better, the classic test of a QL's shift and deflation.
+  Tridiag t;
+  for (int i = 0; i < 21; ++i) {
+    t.d.push_back(std::fabs(10.0 - i));
+    t.e.push_back(i == 0 ? 0.0 : 1.0);
+  }
+  expect_matches_references(t, "W21+");
+  const std::vector<double> v = pwk_values(t);
+  EXPECT_NEAR(v[20], 10.746194182903393, 1e-12);
+  EXPECT_NEAR(v[19], 10.746194182903322, 1e-12);
+}
+
+TEST(PwkQl, ClusteredSpectrum) {
+  // Weakly coupled copies of the same level: a tight cluster near 1 plus
+  // a second one near -2.
+  Tridiag t;
+  for (int i = 0; i < 40; ++i) {
+    t.d.push_back(i < 20 ? 1.0 : -2.0);
+    t.e.push_back(i == 0 ? 0.0 : 1e-9 * (1 + i % 3));
+  }
+  expect_matches_references(t, "clusters");
+}
+
+TEST(PwkQl, RandomTridiagonalsMatchReferences) {
+  for (const std::size_t n : {3u, 17u, 64u, 200u}) {
+    Rng rng(500 + n);
+    Tridiag t;
+    for (std::size_t i = 0; i < n; ++i) {
+      t.d.push_back(rng.uniform(-2.0, 2.0));
+      t.e.push_back(i == 0 ? 0.0 : rng.uniform(-1.0, 1.0));
+    }
+    expect_matches_references(t, "random");
+  }
+}
+
+TEST(PwkQl, ScaledNearOverflowAndUnderflow) {
+  // The sweep squares the couplings: at 1e+160 the squares would overflow
+  // and at 1e-160 underflow without the per-block scaling.  Eigenvalues
+  // scale with the matrix.
+  Rng rng(77);
+  Tridiag base;
+  for (std::size_t i = 0; i < 30; ++i) {
+    base.d.push_back(rng.uniform(-1.0, 1.0));
+    base.e.push_back(i == 0 ? 0.0 : rng.uniform(-1.0, 1.0));
+  }
+  const std::vector<double> ref = pwk_values(base);
+  for (const double scale : {1e150, 1e160, 1e-150, 1e-160}) {
+    Tridiag t = base;
+    for (double& x : t.d) x *= scale;
+    for (double& x : t.e) x *= scale;
+    const std::vector<double> got = pwk_values(t);
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      EXPECT_NEAR(got[k] / scale, ref[k], 1e-13) << scale << " k=" << k;
+    }
+  }
+}
+
+TEST(PwkQl, GradedEntries) {
+  // Entries falling geometrically from ~1e+150 to ~1e-150 (both
+  // orientations: the solver reverses a block whose bottom is the smaller
+  // end).  Norm-wise accuracy against Sturm bisection; the eigenvector QL's
+  // absolute deflation test does not converge on this matrix.
+  for (const bool descending : {true, false}) {
+    Tridiag t;
+    const std::size_t n = 31;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = std::pow(10.0, 150.0 - 10.0 * static_cast<double>(i));
+      t.d.push_back(descending ? x : 1.0 / x);
+      t.e.push_back(i == 0 ? 0.0 : 0.5 * (descending ? x : 1.0 / x));
+    }
+    const std::vector<double> got = pwk_values(t);
+    const std::vector<double> bis =
+        tridiagonal_eigenvalues_range(t.d, t.e, 0, n - 1);
+    const double tol = 8.0 * static_cast<double>(n) *
+                       std::numeric_limits<double>::epsilon() * norm_max(t);
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_NEAR(got[k], bis[k], tol) << descending << " k=" << k;
+      EXPECT_TRUE(std::isfinite(got[k]));
+    }
   }
 }
 

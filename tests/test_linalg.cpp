@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "src/linalg/blas.hpp"
 #include "src/linalg/blocked_tridiag.hpp"
@@ -187,83 +188,24 @@ TEST(Syrk, ShapeMismatchThrows) {
   EXPECT_THROW(syrk(1.0, a, 0.0, c), Error);
 }
 
-TEST(Syr2k, MatchesExplicitProduct) {
-  for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{3, 1},
-                             {17, 5}, {65, 40}, {130, 33}, {71, 140}}) {
-    const Matrix a = random_matrix(n, k, 70);
-    const Matrix b = random_matrix(n, k, 71);
-    Matrix c(n, n, 0.0);
-    syr2k(1.5, a, b, 0.0, c);
-    const Matrix expect =
-        naive_matmul(a, transpose(b)) + naive_matmul(b, transpose(a));
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        EXPECT_NEAR(c(i, j), 1.5 * expect(i, j), 1e-11) << n << "x" << k;
-      }
-    }
-    EXPECT_DOUBLE_EQ(symmetry_defect(c), 0.0);
-  }
-}
-
-TEST(Syr2k, ShapeMismatchThrows) {
-  const Matrix a(6, 3), b(6, 4);
-  Matrix c(6, 6);
-  EXPECT_THROW(syr2k(1.0, a, b, 0.0, c), Error);
-}
-
-TEST(Syr2kLower, UpdatesTrailingSubmatrixInPlace) {
-  // The blocked_tridiag use case: update the lower triangle of a trailing
-  // q0-offset submatrix through raw pointers with distinct leading dims.
-  const std::size_t n = 20, q0 = 7, k = 5;
-  Matrix c = random_symmetric(n, 80);
-  const Matrix c0 = c;
-  const Matrix v = random_matrix(n, k, 81);
-  const Matrix w = random_matrix(n, k, 82);
-  syr2k_lower(n - q0, k, -1.0, v.row(q0), k, w.row(q0), k, c.row(q0) + q0, n);
-  for (std::size_t i = q0; i < n; ++i) {
-    for (std::size_t j = q0; j <= i; ++j) {
-      double s = 0.0;
-      for (std::size_t cc = 0; cc < k; ++cc) {
-        s += v(i, cc) * w(j, cc) + w(i, cc) * v(j, cc);
-      }
-      EXPECT_NEAR(c(i, j), c0(i, j) - s, 1e-12) << i << "," << j;
-    }
-  }
-  // Rows above / columns right of the trailing block are untouched.
-  for (std::size_t i = 0; i < q0; ++i) {
-    for (std::size_t j = 0; j < n; ++j) EXPECT_DOUBLE_EQ(c(i, j), c0(i, j));
-  }
-}
-
 TEST(RankKLower, LeavesStrictUpperTriangleUntouched) {
   // Trailing block of 146: not a multiple of the 64-wide tiles, the 16-row
   // diagonal bands or the 8-wide register blocks.
   const std::size_t n = 157, q0 = 11, k = 13;
   const Matrix v = random_matrix(n, k, 84);
-  const Matrix w = random_matrix(n, k, 85);
-  for (const bool rank2 : {false, true}) {
-    Matrix c = random_matrix(n, n, 86);
-    const Matrix c0 = c;
-    if (rank2) {
-      syr2k_lower(n - q0, k, -1.0, v.row(q0), k, w.row(q0), k,
-                  c.row(q0) + q0, n);
-    } else {
-      syrk_lower(n - q0, k, -1.0, v.row(q0), k, c.row(q0) + q0, n);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (i < q0 || j < q0 || j > i) {
-          EXPECT_EQ(std::memcmp(c.row(i) + j, c0.row(i) + j, sizeof(double)), 0)
-              << rank2 << ": " << i << "," << j;
-          continue;
-        }
-        double s = 0.0;
-        for (std::size_t cc = 0; cc < k; ++cc) {
-          s += rank2 ? v(i, cc) * w(j, cc) + w(i, cc) * v(j, cc)
-                     : v(i, cc) * v(j, cc);
-        }
-        EXPECT_NEAR(c(i, j), c0(i, j) - s, 1e-12) << i << "," << j;
+  Matrix c = random_matrix(n, n, 86);
+  const Matrix c0 = c;
+  syrk_lower(n - q0, k, -1.0, v.row(q0), k, c.row(q0) + q0, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i < q0 || j < q0 || j > i) {
+        EXPECT_EQ(std::memcmp(c.row(i) + j, c0.row(i) + j, sizeof(double)), 0)
+            << i << "," << j;
+        continue;
       }
+      double s = 0.0;
+      for (std::size_t cc = 0; cc < k; ++cc) s += v(i, cc) * v(j, cc);
+      EXPECT_NEAR(c(i, j), c0(i, j) - s, 1e-12) << i << "," << j;
     }
   }
 }
@@ -394,30 +336,65 @@ TEST(Sturm, OutOfRangeIndexThrows) {
 
 // --- blocked tridiagonalization -------------------------------------------
 
+struct ThreadGuard {
+  int saved = par::max_threads();
+  ~ThreadGuard() { par::set_num_threads(saved); }
+};
+
 TEST(BlockedTridiag, BitIdenticalAcrossRepeatedRunsAtFourThreads) {
-  // The trailing symv runs multithreaded once the trailing size reaches its
-  // parallel cutoff (128), so a 300 x 300 matrix exercises it for most
-  // columns.  Its partial sums are combined in a fixed order, so repeated
-  // reductions at the same team size must agree to the bit.
-  struct ThreadGuard {
-    int saved = par::max_threads();
-    ~ThreadGuard() { par::set_num_threads(saved); }
-  } guard;
-  par::set_num_threads(4);
-  const Matrix a = random_symmetric(300, 2024);
-  const TridiagFactorization ref = blocked_tridiagonalize(a);
+  // Each row is owned by one thread and the per-thread partial sums are
+  // combined in thread order, so repeated reductions at the same team size
+  // must agree to the bit.  Three threads make the ownership uneven; n = 801
+  // leaves a partial last chunk and a one-column last panel.
+  ThreadGuard guard;
   const auto bitwise_equal = [](const double* x, const double* y,
                                 std::size_t n) {
     return std::memcmp(x, y, n * sizeof(double)) == 0;
   };
-  for (int run = 0; run < 20; ++run) {
-    const TridiagFactorization f = blocked_tridiagonalize(a);
-    EXPECT_TRUE(bitwise_equal(f.d.data(), ref.d.data(), 300)) << run;
-    EXPECT_TRUE(bitwise_equal(f.e.data(), ref.e.data(), 300)) << run;
-    EXPECT_TRUE(bitwise_equal(f.tau.data(), ref.tau.data(), 300)) << run;
-    EXPECT_TRUE(bitwise_equal(f.reflectors.data(), ref.reflectors.data(),
-                              300 * 300))
-        << run;
+  for (const int team : {4, 3}) {
+    par::set_num_threads(team);
+    for (const std::size_t n : {300u, 801u}) {
+      const Matrix a = random_symmetric(n, 2024);
+      const TridiagFactorization ref = blocked_tridiagonalize(a);
+      for (int run = 0; run < (n < 500 ? 20 : 4); ++run) {
+        const TridiagFactorization f = blocked_tridiagonalize(a);
+        EXPECT_TRUE(bitwise_equal(f.d.data(), ref.d.data(), n)) << team << " " << n;
+        EXPECT_TRUE(bitwise_equal(f.e.data(), ref.e.data(), n)) << team << " " << n;
+        EXPECT_TRUE(bitwise_equal(f.tau.data(), ref.tau.data(), n)) << team << " " << n;
+        EXPECT_TRUE(bitwise_equal(f.reflectors.data(), ref.reflectors.data(),
+                                  n * n))
+            << team << " " << n;
+      }
+    }
+  }
+}
+
+TEST(BlockedTridiag, SimilarAndOrthogonalAtEveryTeamSize) {
+  // Q^T A Q = T and Q^T Q = I to a small multiple of n eps, at team sizes 1
+  // to 4 and on sizes around the 16-row ownership chunks and the 32-column
+  // panels (127 .. 129), below and above the team cutoff.
+  ThreadGuard guard;
+  constexpr double eps = std::numeric_limits<double>::epsilon();
+  for (const int team : {1, 2, 3, 4}) {
+    par::set_num_threads(team);
+    for (const std::size_t n : {3u, 4u, 35u, 127u, 128u, 129u, 300u, 801u}) {
+      const Matrix a = random_symmetric(n, 600 + n);
+      const TridiagFactorization f = blocked_tridiagonalize(a);
+      const Matrix q = form_q(f);
+      Matrix t(n, n, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        t(i, i) = f.d[i];
+        if (i > 0) t(i, i - 1) = t(i - 1, i) = f.e[i];
+      }
+      const Matrix qt = transpose(q);
+      const double sim = frobenius_norm(matmul(qt, matmul(a, q)) - t) /
+                         frobenius_norm(a);
+      const double orth =
+          frobenius_norm(matmul(qt, q) - Matrix::identity(n));
+      const double bound = static_cast<double>(n) * eps;
+      EXPECT_LT(sim, bound) << "team " << team << " n " << n;
+      EXPECT_LT(orth, bound) << "team " << team << " n " << n;
+    }
   }
 }
 
@@ -456,13 +433,8 @@ TEST(PanelLevel3, BitIdenticalAtOneAndFourThreads) {
   // The level-3 drivers split only rows or columns of the output across
   // threads, never the contraction, so every element is the same sum in
   // the same order at any team size.
-  struct ThreadGuard {
-    int saved = par::max_threads();
-    ~ThreadGuard() { par::set_num_threads(saved); }
-  } guard;
+  ThreadGuard guard;
   const Matrix a = random_matrix(203, 300, 90);  // k beyond one slab
-  const Matrix v = random_matrix(203, 37, 91);
-  const Matrix w = random_matrix(203, 37, 92);
   const Matrix c0 = random_symmetric(203, 93);
   const auto fact = blocked_tridiagonalize(random_symmetric(301, 94));
   const Matrix z0 = random_matrix(301, 579, 95);  // the tube's m = 579
@@ -473,9 +445,6 @@ TEST(PanelLevel3, BitIdenticalAtOneAndFourThreads) {
     Matrix c = c0;
     syrk(1.0, a, 0.0, c);
     out.push_back(c);
-    c = c0;
-    syr2k(-1.0, v, w, 1.0, c);
-    out.push_back(c);
     Matrix z = z0;
     apply_q(fact, z);
     out.push_back(z);
@@ -483,7 +452,7 @@ TEST(PanelLevel3, BitIdenticalAtOneAndFourThreads) {
   };
   const std::vector<Matrix> one = run(1);
   const std::vector<Matrix> four = run(4);
-  const char* names[] = {"matmul", "syrk", "syr2k", "apply_q"};
+  const char* names[] = {"matmul", "syrk", "apply_q"};
   for (std::size_t q = 0; q < one.size(); ++q) {
     const std::size_t count = one[q].rows() * one[q].cols();
     EXPECT_EQ(std::memcmp(one[q].data(), four[q].data(),

@@ -236,6 +236,14 @@ TEST(Parallel, SetNumThreadsRoundTrips) {
 // identically with and without -fopenmp (CI compiles and runs both
 // configurations via the TBMD_NO_OPENMP option).
 
+TEST(Parallel, ThreadBudgetSplitsCoresAcrossWorkers) {
+  EXPECT_EQ(par::thread_budget(4, 1, 0), 4);
+  EXPECT_EQ(par::thread_budget(4, 2, 0), 2);
+  EXPECT_EQ(par::thread_budget(4, 8, 0), 1);  // never below one thread
+  EXPECT_EQ(par::thread_budget(4, 2, 3), 3);  // an explicit request wins
+  EXPECT_EQ(par::thread_budget(4, 0, 0), 4);
+}
+
 TEST(Parallel, ThreadIdIsZeroOutsideParallelRegion) {
   EXPECT_EQ(par::thread_id(), 0);
 }
